@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import erf
 
 from .config import SourceConfig, derive_run_params
 from .jta import XiProfile
@@ -30,6 +28,8 @@ def sigma_z_analytic(cfg: SourceConfig) -> float:
 def erf_xi_profile(cfg: SourceConfig, z_nodes, plateau: float = 1.0) -> np.ndarray:
     """Cumulative pair probability model: an erf step of width sigma_z
     centered on the pump collision point."""
+    from scipy.special import erf
+
     rp = derive_run_params(cfg)
     sz = sigma_z_analytic(cfg)
     z = np.asarray(z_nodes, dtype=float)
@@ -37,6 +37,8 @@ def erf_xi_profile(cfg: SourceConfig, z_nodes, plateau: float = 1.0) -> np.ndarr
 
 
 def _erf_model(z, plateau, l_match, sigma_z):
+    from scipy.special import erf
+
     return 0.5 * plateau * (1.0 + erf((z - l_match) / (np.sqrt(2.0) * sigma_z)))
 
 
@@ -47,6 +49,8 @@ def fit_erf(xi_profile: XiProfile, loss_rate: float = 0.0, l_match_hint: float |
     exponential decay out of the profile before fitting; l_match_hint sets
     where that correction starts (defaults to the half-rise position).
     """
+    from scipy.optimize import curve_fit
+
     z = np.asarray(xi_profile.z_nodes, dtype=float)
     xi = np.asarray(xi_profile.xi, dtype=float)
     if xi.max() <= 0:

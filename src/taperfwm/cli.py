@@ -16,7 +16,7 @@ import numpy as np
 from . import io
 from .analytic import erf_xi_profile, fit_erf, sigma_z_analytic
 from .config import ConfigError, SourceConfig, derive_run_params, load_config
-from .interference import evaluate_pair, optimize_delays
+from .interference import SourceCache, evaluate_pair, optimize_delays
 from .jta import JointAmplitude
 from .metrics import jta_to_jsa, spectral_cumulative
 from .pumps import PropagationError
@@ -107,13 +107,14 @@ def cmd_pair(args) -> int:
     cfg1 = load_config(args.config1)
     cfg2 = load_config(args.config2)
     writer = io.ArtifactWriter("pair", args.output, [cfg1, cfg2])
-    raw = evaluate_pair(cfg1, cfg2)
+    sources = (SourceCache(cfg1), SourceCache(cfg2))
+    raw = evaluate_pair(cfg1, cfg2, sources)
     doc = {
         "raw": {"v_rhom": raw.v_rhom, "v_hhom": raw.v_hhom,
                 "shift_s": raw.shift_s, "shift_i": raw.shift_i},
     }
     if args.optimize:
-        opt = optimize_delays(cfg1, cfg2, objective=args.objective)
+        opt = optimize_delays(cfg1, cfg2, objective=args.objective, sources=sources)
         doc["optimized"] = {
             "objective": args.objective,
             "v_rhom": opt.v_rhom,

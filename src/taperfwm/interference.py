@@ -144,8 +144,12 @@ def delay_line_requirements(delta_t: float, wavelength: float = 1550e-9,
                          bias_delay=bias_delay, arm_length_diff=arm)
 
 
-class _SourceCache:
-    """Memoizes full simulations per (configuration, tau)."""
+class SourceCache:
+    """Memoizes the simulated JTA of one source configuration per tau.
+
+    One cache per source can be shared by evaluate_pair and optimize_delays
+    so that no (configuration, tau) is simulated twice.
+    """
 
     def __init__(self, cfg: SourceConfig):
         self.cfg = cfg
@@ -157,6 +161,14 @@ class _SourceCache:
             cfg = self.cfg.replace(pump={"tau": key})
             self._runs[key] = run_source(cfg).result.jta
         return self._runs[key]
+
+
+def _source_caches(cfg1, cfg2, sources):
+    if sources is None:
+        return SourceCache(cfg1), SourceCache(cfg2)
+    if sources[0].cfg != cfg1 or sources[1].cfg != cfg2:
+        raise ValueError("source caches belong to other configurations")
+    return sources
 
 
 # compensating delays in a pair study can be several pulse widths; the
@@ -173,29 +185,37 @@ def _pair_visibilities(phi1, phi2, t0_fwhm):
     return v_r, v_h, phi2_shifted, ds, di
 
 
-def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig) -> PairStudy:
+def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
+                  sources: tuple[SourceCache, SourceCache] | None = None) -> PairStudy:
     """Visibilities of the two sources as configured (arrival-time
-    compensation applied, no delay optimization)."""
+    compensation applied, no delay optimization).
+
+    sources, one SourceCache per configuration, lets a later
+    optimize_delays reuse the two runs."""
     t0 = cfg1.pump.t0_fwhm
-    phi1 = run_source(cfg1).result.jta
-    phi2 = run_source(cfg2).result.jta
+    src1, src2 = _source_caches(cfg1, cfg2, sources)
+    phi1 = src1.jta(cfg1.pump.tau)
+    phi2 = src2.jta(cfg2.pump.tau)
     v_r, v_h, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
     return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s,
                      shift_s=ds, shift_i=di, v_rhom=v_r, v_hhom=v_h)
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
-                    coarse_points: int = 11) -> PairStudy:
+                    coarse_points: int = 11,
+                    sources: tuple[SourceCache, SourceCache] | None = None) -> PairStudy:
     """Search (tau1, tau2) maximizing the chosen visibility.
 
     Coarse grid over [0, tau_max]^2, then compass pattern search refined to
-    tau_max/200; ties break toward the symmetric midpoint delay.
+    tau_max/200; ties break toward the symmetric midpoint delay.  sources
+    (one SourceCache per configuration) reuses runs made earlier, for
+    instance by evaluate_pair.
     """
     if objective not in ("rhom", "hhom"):
         raise ValueError("objective must be 'rhom' or 'hhom'")
     t0 = cfg1.pump.t0_fwhm
     tau_max = derive_run_params(cfg1).tau_max
-    src1, src2 = _SourceCache(cfg1), _SourceCache(cfg2)
+    src1, src2 = _source_caches(cfg1, cfg2, sources)
     center = np.array([tau_max / 2.0, tau_max / 2.0])
     candidates = []
     obj_cache = {}

@@ -114,7 +114,19 @@ def evolve_jta(
     initial: JointAmplitude | None = None,
     include_source: bool = True,
 ) -> SimulationResult:
-    """Integrate the driven JTA equation in lockstep with the pump trace."""
+    """Integrate the driven JTA equation in lockstep with the pump trace.
+
+    Each step is a symmetrized split step: a linear half-step in the
+    frequency domain, the signal/idler XPM phase and the source injection
+    on the time grid at the pump midpoint, and a second linear half-step.
+    Between two steps whose shared node needs no physical state, the
+    trailing half-step and the next leading one are fused into a single
+    full-step multiplier.  The physical state is formed, from the 1-D
+    half-step factors, only at the snapshot nodes (which include the end).
+    xi(z) is measured from the field at every node, before the trailing
+    half-step, whose only effect on the norm is the exact loss factor
+    exp(-sigma h / 2); a non-finite xi stops the run at that step.
+    """
     grid = pump_trace.grid
     d, num = cfg.dispersion, cfg.numerics
     rp = derive_run_params(cfg)
@@ -126,11 +138,13 @@ def evolve_jta(
     dt = grid.dt
 
     ls, li = _axis_exponents(cfg, grid)
-    half_mult = np.exp(0.5 * h * ls)[:, None] * np.exp(0.5 * h * li)[None, :]
+    half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
+    full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
 
     dist = cfg.mismatch.distribution
     w_si = dist.get("s", 0.0) + dist.get("i", 0.0)
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
+    decay_half = np.exp(-sigma * h / 2.0)
     gamma_fwm = d.gamma_p1p2si
     nl_on = num.xpm_spm_enabled
 
@@ -149,23 +163,30 @@ def evolve_jta(
     xi = np.empty(n_z + 1)
     xi[0] = float(np.sum(np.abs(phi) ** 2)) * dt * dt
     xi_rhs = xi[0]
+    spec_norm = n * n * dt * dt  # Parseval factor of the unnormalized ifft2
 
+    # holds 0 and n_z, so the loop always ends on an unfused, physical state
     snap_idx = np.unique(np.round(np.linspace(0, n_z, max(2, num.snapshot_count))).astype(int))
+    snap_nodes = set(snap_idx.tolist())
     snapshots = []
 
     def take_snapshot(values_time, k):
         full = values_time * np.exp(1j * theta_si_nodes[k])
         snapshots.append(JointAmplitude(values=full, domain="time", grid=grid, z=float(pump_trace.z_nodes[k])))
 
-    if 0 in snap_idx:
+    def half_step(spec):
+        spec *= half_s
+        spec *= half_i
+
+    if 0 in snap_nodes:
         take_snapshot(phi.copy(), 0)
 
     fft2, ifft2 = np.fft.fft2, np.fft.ifft2
     spec = ifft2(phi)
+    half_step(spec)
     diag_idx = np.arange(n)
 
     for k in range(n_z):
-        spec *= half_mult
         phi = fft2(spec)
 
         a1 = pump_trace.a_p1_mid[k]
@@ -173,7 +194,7 @@ def evolve_jta(
         if nl_on:
             ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
             ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-            phi *= np.exp(1j * h * (ns[:, None] + ni[None, :]))
+            phi *= np.exp(1j * h * ns)[:, None] * np.exp(1j * h * ni)[None, :]
 
         if include_source:
             src_diag = 2j * np.pi * gamma_fwm * a1 * a2 * np.exp(-1j * theta_si_mid[k]) / dt
@@ -184,25 +205,27 @@ def evolve_jta(
             gain = 0.0
 
         spec = ifft2(phi)
-        spec *= half_mult
 
         # exact discrete loss/source bookkeeping in the spirit of the
         # cumulative-probability integral: losses act through the two half
         # steps, the source is injected between them.
-        decay_half = np.exp(-sigma * h / 2.0)
         xi_rhs = decay_half * (decay_half * xi_rhs + gain)
-        xi[k + 1] = float(np.sum(np.abs(spec) ** 2)) * n * n * dt * dt
 
-        if (k + 1) in snap_idx:
-            take_snapshot(fft2(spec), k + 1)
-        if (k + 1) % 256 == 0 and not np.all(np.isfinite(spec)):
+        # the trailing half-step only scales the norm by its loss
+        xi[k + 1] = decay_half * float(np.sum(np.abs(spec) ** 2)) * spec_norm
+        if not np.isfinite(xi[k + 1]):
             raise PropagationError(f"JTA propagation diverged at step {k + 1}")
 
-    phi = fft2(spec)
-    if not np.all(np.isfinite(phi)):
-        raise PropagationError("JTA propagation produced non-finite values")
+        if (k + 1) in snap_nodes:
+            half_step(spec)
+            take_snapshot(fft2(spec), k + 1)
+            if k + 1 < n_z:
+                half_step(spec)
+        else:
+            spec *= full_mult
+
     final = JointAmplitude(
-        values=phi * np.exp(1j * theta_si_nodes[-1]),
+        values=fft2(spec) * np.exp(1j * theta_si_nodes[-1]),
         domain="time",
         grid=grid,
         z=L,

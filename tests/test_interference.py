@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from taperfwm import run_source, table1_config
+from taperfwm import interference, run_source, table1_config
 from taperfwm.config import tau_max_of
 from taperfwm.interference import (
+    SourceCache,
     align_arrival_times,
     apply_time_shift,
     delay_line_requirements,
@@ -142,6 +143,41 @@ def test_optimizer_beats_center(fast_cfg):
     center = evaluate_pair(fast_cfg, cfg2)
     study = optimize_delays(fast_cfg, cfg2, coarse_points=5)
     assert study.v_rhom >= center.v_rhom - 1e-12
+
+
+def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    raw_alone = evaluate_pair(fast_cfg, cfg2)
+    opt_alone = optimize_delays(fast_cfg, cfg2, coarse_points=3)
+
+    runs = []
+    real_run_source = interference.run_source
+
+    def counted(cfg):
+        runs.append((cfg.geometry.height_offset, cfg.pump.tau))
+        return real_run_source(cfg)
+
+    monkeypatch.setattr(interference, "run_source", counted)
+    sources = (SourceCache(fast_cfg), SourceCache(cfg2))
+    raw = evaluate_pair(fast_cfg, cfg2, sources)
+    opt = optimize_delays(fast_cfg, cfg2, coarse_points=3, sources=sources)
+
+    # the raw pair sits at tau_max/2, the optimizer's start point: every
+    # run is distinct and the raw runs are not repeated
+    assert len(runs) == len(set(runs))
+    taus1 = {c[0] for c in opt.candidates}
+    taus2 = {c[1] for c in opt.candidates}
+    assert len(runs) == len(taus1) + len(taus2)
+    assert (raw.v_rhom, raw.v_hhom) == (raw_alone.v_rhom, raw_alone.v_hhom)
+    assert opt.candidates == opt_alone.candidates
+    assert (opt.optimal_tau1, opt.optimal_tau2) == (opt_alone.optimal_tau1, opt_alone.optimal_tau2)
+    assert (opt.v_rhom, opt.v_hhom) == (opt_alone.v_rhom, opt_alone.v_hhom)
+
+
+def test_source_caches_must_match_configs(fast_cfg):
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    with pytest.raises(ValueError):
+        evaluate_pair(fast_cfg, cfg2, (SourceCache(cfg2), SourceCache(fast_cfg)))
 
 
 def test_delay_line_formulas():

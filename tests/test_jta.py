@@ -5,9 +5,10 @@ import pytest
 
 from taperfwm import run_source, table1_config
 from taperfwm.config import derive_run_params
-from taperfwm.jta import evolve_jta, perturbative_oracle, source_term
+from taperfwm.jta import _axis_exponents, evolve_jta, perturbative_oracle, source_term
 from taperfwm.metrics import jta_to_jsa
-from taperfwm.pumps import initial_envelopes, propagate_pumps
+from taperfwm.mismatch import kappa_profile
+from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -138,3 +139,74 @@ def test_redistribution_invariance():
     phi_b = run_source(cfg_b).result.jta
     scale = np.abs(phi_a.values).max()
     assert np.max(np.abs(np.abs(phi_a.values) - np.abs(phi_b.values))) <= 1e-8 * scale
+
+
+def _reference_evolve(cfg, trace):
+    """Per-step split step with both half-steps applied on every step and
+    the XPM phase exponentiated on the full n x n grid."""
+    d, grid = cfg.dispersion, trace.grid
+    n, n_z, dt = grid.n, trace.n_z, grid.dt
+    h = cfg.geometry.length / n_z
+    ls, li = _axis_exponents(cfg, grid)
+    half_mult = np.exp(0.5 * h * ls)[:, None] * np.exp(0.5 * h * li)[None, :]
+    dist = cfg.mismatch.distribution
+    kap_mid = kappa_profile(cfg).kappa(trace.z_mid)
+    theta_mid = (dist["s"] + dist["i"]) * (np.cumsum(kap_mid) - 0.5 * kap_mid) * h
+    theta_end = (dist["s"] + dist["i"]) * np.sum(kap_mid) * h
+    idx = np.arange(n)
+    spec = np.zeros((n, n), complex)
+    xi = [0.0]
+    for k in range(n_z):
+        phi = np.fft.fft2(spec * half_mult)
+        a1, a2 = trace.a_p1_mid[k], trace.a_p2_mid[k]
+        if cfg.numerics.xpm_spm_enabled:
+            ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
+            ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
+            phi = phi * np.exp(1j * h * (ns[:, None] + ni[None, :]))
+        phi[idx, idx] += h * 2j * np.pi * d.gamma_p1p2si * a1 * a2 * np.exp(-1j * theta_mid[k]) / dt
+        spec = np.fft.ifft2(phi) * half_mult
+        xi.append(float(np.sum(np.abs(spec) ** 2)) * n * n * dt * dt)
+    return np.fft.fft2(spec) * np.exp(1j * theta_end), np.array(xi)
+
+
+@pytest.mark.parametrize("taper", [0.0, 0.1e-6])
+@pytest.mark.parametrize("xpm", [True, False])
+def test_fused_stepper_matches_reference(taper, xpm):
+    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper},
+               mismatch={"distribution": {"p1": 0.2, "p2": 0.3, "s": -0.2, "i": -0.3}})
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    res = evolve_jta(cfg, trace)
+    ref_jta, ref_xi = _reference_evolve(cfg, trace)
+    assert np.max(np.abs(res.jta.values - ref_jta)) <= 1e-12 * np.max(np.abs(ref_jta))
+    assert np.max(np.abs(res.xi_profile.xi - ref_xi)) <= 1e-12 * ref_xi.max()
+
+
+def test_snapshot_nodes_do_not_change_result():
+    # snapshot_count = n_z + 1 leaves every step unfused, 2 fuses all but the last
+    cfg = _cfg(geometry={"taper_amplitude": 0.1e-6})
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    every = evolve_jta(cfg.replace(numerics={"snapshot_count": FAST["n_z"] + 1}), trace)
+    ends = evolve_jta(cfg.replace(numerics={"snapshot_count": 2}), trace)
+    assert len(every.snapshots) == FAST["n_z"] + 1
+    assert len(ends.snapshots) == 2
+    scale = np.max(np.abs(every.jta.values))
+    assert np.max(np.abs(every.jta.values - ends.jta.values)) <= 1e-13 * scale
+    xi_every, xi_ends = every.xi_profile.xi, ends.xi_profile.xi
+    assert np.max(np.abs(xi_every - xi_ends)) <= 1e-13 * xi_every.max()
+
+
+def test_snapshot_norms_match_xi_profile(fast_run):
+    prof = fast_run.result.xi_profile
+    for snap in fast_run.result.snapshots:
+        (k,) = np.flatnonzero(prof.z_nodes == snap.z)
+        assert np.isclose(snap.integrate_norm(), prof.xi[k], rtol=1e-12, atol=0.0)
+
+
+def test_nan_pump_midpoint_names_first_bad_step():
+    cfg = _cfg()
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace.a_p1_mid = trace.a_p1_mid.copy()
+    trace.a_p1_mid[41, 7] = np.nan
+    trace.a_p1_mid[60, 7] = np.nan
+    with pytest.raises(PropagationError, match=r"diverged at step 42$"):
+        evolve_jta(cfg, trace)
