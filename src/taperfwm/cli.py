@@ -17,7 +17,7 @@ from . import io
 from .analytic import erf_xi_profile, fit_erf, sigma_z_analytic
 from .config import ConfigError, SourceConfig, derive_run_params, load_config
 from .interference import SourceCache, evaluate_pair, optimize_delays
-from .jta import JointAmplitude
+from .jta import JointAmplitude, snapshot_nodes
 from .metrics import jta_to_jsa, spectral_cumulative
 from .pumps import PropagationError
 from .simulate import ValidationFailure, run_source
@@ -50,15 +50,18 @@ def _dump_matrices(writer: io.ArtifactWriter, phi: JointAmplitude, stem: str,
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    try:
+        snapshot_nodes(args.snapshots, cfg.numerics.n_z)
+    except ValueError as exc:
+        raise ConfigError(f"--snapshots: {exc}") from exc
     writer = io.ArtifactWriter("simulate", args.output, [cfg])
-    out = run_source(cfg, keep_pump_trace=args.dump_pumps)
+    out = run_source(cfg, keep_pump_trace=args.dump_pumps, snapshots=args.snapshots)
     writer.add(io.write_metrics_json(out.metrics, writer.path("metrics.json")))
     writer.add(io.write_xi_profile_csv(out.result.xi_profile, cfg.geometry.length,
                                        writer.path("xi_profile.csv")))
     _dump_matrices(writer, out.result.jta, "final", args.dump_jta, args.dump_jsa)
     if args.snapshots:
-        snaps = out.result.snapshots[: args.snapshots]
-        for k, snap in enumerate(snaps):
+        for k, snap in enumerate(out.result.snapshots):
             _dump_matrices(writer, snap, f"snapshot_{k:03d}", args.dump_jta, args.dump_jsa)
         zs, w_axis, spec = spectral_cumulative(out.result.snapshots)
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
@@ -194,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-o", "--output", required=True)
     sim.add_argument("--dump-jta", action="store_true")
     sim.add_argument("--dump-jsa", action="store_true")
-    sim.add_argument("--snapshots", type=int, default=0, metavar="N")
+    sim.add_argument("--snapshots", type=int, default=0, metavar="N",
+                     help="store N >= 2 evenly spaced states from z = 0 to L, dump them "
+                          "with --dump-jta/--dump-jsa and write their spectral map")
     sim.add_argument("--dump-pumps", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 

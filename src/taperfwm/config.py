@@ -123,7 +123,6 @@ class NumericsSpec:
     n_t: int = 512
     t_window: tuple = (-4.0, 12.0)   # dimensionless time span
     n_z: int = 2000
-    snapshot_count: int = 16
     xpm_spm_enabled: bool = True
     dispersion_enabled: bool = True
 

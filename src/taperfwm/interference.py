@@ -67,9 +67,9 @@ def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     if phi1.domain != "time" or phi2.domain != "time":
         raise ValueError("hhom_visibility expects time-domain amplitudes")
     a, b = _unit(phi1), _unit(phi2)
-    rho1 = a @ a.conj().T
-    rho2 = b @ b.conj().T
-    return float(np.abs(np.sum(rho1 * rho2.T)))
+    # Tr(rho1 rho2) with rho = a a^H over the Signal axis is |a^H b|_F^2
+    overlap = a.conj().T @ b
+    return float(np.sum(np.abs(overlap) ** 2))
 
 
 def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwhm: float,
@@ -178,11 +178,14 @@ def _source_caches(cfg1, cfg2, sources):
 _PAIR_WRAP_TOL = 1e-4
 
 
-def _pair_visibilities(phi1, phi2, t0_fwhm):
+_VISIBILITIES = {"rhom": rhom_visibility, "hhom": hhom_visibility}
+
+
+def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom")):
+    """The visibilities named in kinds, after arrival-time alignment."""
     phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, wrap_tol=_PAIR_WRAP_TOL)
-    v_r = rhom_visibility(phi1, phi2_shifted)
-    v_h = hhom_visibility(phi1, phi2_shifted)
-    return v_r, v_h, phi2_shifted, ds, di
+    vis = {kind: _VISIBILITIES[kind](phi1, phi2_shifted) for kind in kinds}
+    return vis, phi2_shifted, ds, di
 
 
 def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
@@ -196,9 +199,9 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
     src1, src2 = _source_caches(cfg1, cfg2, sources)
     phi1 = src1.jta(cfg1.pump.tau)
     phi2 = src2.jta(cfg2.pump.tau)
-    v_r, v_h, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
+    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
     return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s,
-                     shift_s=ds, shift_i=di, v_rhom=v_r, v_hhom=v_h)
+                     shift_s=ds, shift_i=di, v_rhom=vis["rhom"], v_hhom=vis["hhom"])
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
@@ -226,13 +229,11 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
             phi1 = src1.jta(tau1)
             phi2 = src2.jta(tau2)
             try:
-                v_r, v_h, *_ = _pair_visibilities(phi1, phi2, t0)
+                v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,))[0][objective]
             except ValueError:
                 # alignment shift would wrap around the window: the
                 # candidate is outside the usable delay range
                 v = -np.inf
-            else:
-                v = v_r if objective == "rhom" else v_h
             obj_cache[key] = v
             candidates.append((float(tau1), float(tau2), v))
         return obj_cache[key]
@@ -272,7 +273,7 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
 
     phi1 = src1.jta(best[0])
     phi2 = src2.jta(best[1])
-    v_r, v_h, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
+    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
     return PairStudy(
         cfg1=cfg1.replace(pump={"tau": best[0]}),
         cfg2=cfg2.replace(pump={"tau": best[1]}),
@@ -280,8 +281,8 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
         phi2=phi2s,
         shift_s=ds,
         shift_i=di,
-        v_rhom=v_r,
-        v_hhom=v_h,
+        v_rhom=vis["rhom"],
+        v_hhom=vis["hhom"],
         optimal_tau1=best[0],
         optimal_tau2=best[1],
         candidates=candidates,

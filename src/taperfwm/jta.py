@@ -108,11 +108,21 @@ def _axis_exponents(cfg: SourceConfig, grid: Grid, include_loss=True):
     return ls, li
 
 
+def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
+    """Indices of `count` evenly spaced z nodes from 0 to n_z; none for 0."""
+    if count == 0:
+        return np.empty(0, int)
+    if not 2 <= count <= n_z + 1:
+        raise ValueError(f"snapshots must be 0 or between 2 and n_z + 1 = {n_z + 1}, got {count}")
+    return np.round(np.linspace(0, n_z, count)).astype(int)
+
+
 def evolve_jta(
     cfg: SourceConfig,
     pump_trace: PumpTrace,
     initial: JointAmplitude | None = None,
     include_source: bool = True,
+    snapshots: int = 0,
 ) -> SimulationResult:
     """Integrate the driven JTA equation in lockstep with the pump trace.
 
@@ -121,11 +131,14 @@ def evolve_jta(
     on the time grid at the pump midpoint, and a second linear half-step.
     Between two steps whose shared node needs no physical state, the
     trailing half-step and the next leading one are fused into a single
-    full-step multiplier.  The physical state is formed, from the 1-D
-    half-step factors, only at the snapshot nodes (which include the end).
-    xi(z) is measured from the field at every node, before the trailing
-    half-step, whose only effect on the norm is the exact loss factor
-    exp(-sigma h / 2); a non-finite xi stops the run at that step.
+    full-step multiplier.  The state lives in one n x n buffer that is
+    transformed in place; the physical state is formed, from the 1-D
+    half-step factors, only at the `snapshots` evenly spaced nodes (see
+    snapshot_nodes) and at the end.
+
+    xi(z) at every node is the exact discrete loss/source bookkeeping, an
+    O(n) recursion on the diagonal; a non-finite xi stops the run at that
+    step, and the measured norm of the final state must match it to 1e-10.
     """
     grid = pump_trace.grid
     d, num = cfg.dispersion, cfg.numerics
@@ -148,12 +161,14 @@ def evolve_jta(
     gamma_fwm = d.gamma_p1p2si
     nl_on = num.xpm_spm_enabled
 
-    if initial is None:
-        phi = np.zeros((n, n), complex)
-    else:
+    # the state: time domain around the nonlinear part of a step, frequency
+    # domain (the unnormalized ifft2 of the time values) between steps
+    state = np.zeros((n, n), complex)
+    if initial is not None:
         if initial.domain != "time":
             raise ValueError("initial amplitude must be in the time domain")
-        phi = initial.values.astype(complex).copy()
+        state[...] = initial.values
+    diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
 
     # accumulated signal+idler taper phase, midpoint quadrature per step
     kap_mid = kp.kappa(pump_trace.z_mid)
@@ -161,77 +176,77 @@ def evolve_jta(
     theta_si_nodes = np.concatenate([[0.0], w_si * np.cumsum(kap_mid) * h])
 
     xi = np.empty(n_z + 1)
-    xi[0] = float(np.sum(np.abs(phi) ** 2)) * dt * dt
-    xi_rhs = xi[0]
-    spec_norm = n * n * dt * dt  # Parseval factor of the unnormalized ifft2
+    xi[0] = float(np.sum(np.abs(state) ** 2)) * dt * dt
 
-    # holds 0 and n_z, so the loop always ends on an unfused, physical state
-    snap_idx = np.unique(np.round(np.linspace(0, n_z, max(2, num.snapshot_count))).astype(int))
-    snap_nodes = set(snap_idx.tolist())
-    snapshots = []
+    snap_nodes = set(snapshot_nodes(snapshots, n_z).tolist())
+    snaps = []
 
-    def take_snapshot(values_time, k):
-        full = values_time * np.exp(1j * theta_si_nodes[k])
-        snapshots.append(JointAmplitude(values=full, domain="time", grid=grid, z=float(pump_trace.z_nodes[k])))
+    def physical(k, values_time):
+        values_time *= np.exp(1j * theta_si_nodes[k])
+        return JointAmplitude(values=values_time, domain="time", grid=grid, z=float(pump_trace.z_nodes[k]))
 
-    def half_step(spec):
-        spec *= half_s
-        spec *= half_i
+    # in-place transforms; fftn/ifftn because ifft2 drops its out= (numpy 2.4)
+    def fft2(a):
+        return np.fft.fftn(a, axes=(0, 1), out=a)
+
+    def ifft2(a):
+        return np.fft.ifftn(a, axes=(0, 1), out=a)
+
+    def half_step(a):
+        a *= half_s
+        a *= half_i
 
     if 0 in snap_nodes:
-        take_snapshot(phi.copy(), 0)
-
-    fft2, ifft2 = np.fft.fft2, np.fft.ifft2
-    spec = ifft2(phi)
-    half_step(spec)
-    diag_idx = np.arange(n)
+        snaps.append(physical(0, state.copy()))
+    ifft2(state)
+    half_step(state)
 
     for k in range(n_z):
-        phi = fft2(spec)
+        fft2(state)
 
         a1 = pump_trace.a_p1_mid[k]
         a2 = pump_trace.a_p2_mid[k]
         if nl_on:
             ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
             ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-            phi *= np.exp(1j * h * ns)[:, None] * np.exp(1j * h * ni)[None, :]
+            state *= np.exp(1j * h * ns)[:, None]
+            state *= np.exp(1j * h * ni)[None, :]
 
         if include_source:
             src_diag = 2j * np.pi * gamma_fwm * a1 * a2 * np.exp(-1j * theta_si_mid[k]) / dt
-            phi_mid_diag = phi[diag_idx, diag_idx] + 0.5 * h * src_diag
-            gain = 2.0 * h * float(np.real(np.vdot(src_diag, phi_mid_diag))) * dt * dt
-            phi[diag_idx, diag_idx] += h * src_diag
+            gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
+            diag += h * src_diag
         else:
             gain = 0.0
 
-        spec = ifft2(phi)
+        ifft2(state)
 
         # exact discrete loss/source bookkeeping in the spirit of the
         # cumulative-probability integral: losses act through the two half
         # steps, the source is injected between them.
-        xi_rhs = decay_half * (decay_half * xi_rhs + gain)
-
-        # the trailing half-step only scales the norm by its loss
-        xi[k + 1] = decay_half * float(np.sum(np.abs(spec) ** 2)) * spec_norm
+        xi[k + 1] = decay_half * (decay_half * xi[k] + gain)
         if not np.isfinite(xi[k + 1]):
             raise PropagationError(f"JTA propagation diverged at step {k + 1}")
 
-        if (k + 1) in snap_nodes:
-            half_step(spec)
-            take_snapshot(fft2(spec), k + 1)
-            if k + 1 < n_z:
-                half_step(spec)
+        if k + 1 == n_z:
+            half_step(state)
+        elif (k + 1) in snap_nodes:
+            half_step(state)
+            snaps.append(physical(k + 1, fft2(state.copy())))
+            half_step(state)
         else:
-            spec *= full_mult
+            state *= full_mult
 
-    final = JointAmplitude(
-        values=fft2(spec) * np.exp(1j * theta_si_nodes[-1]),
-        domain="time",
-        grid=grid,
-        z=L,
-    )
+    final = physical(n_z, fft2(state))
+    if n_z in snap_nodes:
+        snaps.append(final)
+    if not abs(final.norm_sq - xi[-1]) <= 1e-10 * xi[-1]:
+        raise PropagationError(
+            f"JTA norm {final.norm_sq:.17g} departs from the pair-probability "
+            f"bookkeeping {xi[-1]:.17g}"
+        )
     profile = XiProfile(z_nodes=pump_trace.z_nodes.copy(), xi=xi)
-    return SimulationResult(jta=final, xi_profile=profile, snapshots=snapshots, xi_from_rhs=xi_rhs)
+    return SimulationResult(jta=final, xi_profile=profile, snapshots=snaps, xi_from_rhs=xi[-1])
 
 
 def perturbative_oracle(

@@ -80,10 +80,10 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
 
     Internally steps at h/2 so that both the z nodes and the step midpoints
     hold physical envelopes; the trace exposes both.  Both pumps are stepped
-    together as one (2, n_t) array, so each linear half of a sub-step is a
-    single fft/ifft pair, and the SPM/XPM phases are one 2x2 gamma matrix
-    acting on (|a1|^2, |a2|^2).  The taper phase of every linear half is
-    precomputed from one vectorized kappa evaluation.
+    together as one (2, n_t) array, with three transforms per sub-step, and
+    the SPM/XPM phases are one 2x2 gamma matrix acting on (|a1|^2, |a2|^2).
+    The taper phase of every linear half is precomputed from one vectorized
+    kappa evaluation.
     """
     grid = cfg.grid()
     if env0 is None:
@@ -125,12 +125,18 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
     mids = np.empty((2, n_z, num.n_t), complex)
     nodes[:, 0] = a
 
+    # the taper phases are one scalar per pump and commute with the
+    # transforms, so the spectrum of a sub-step's end is carried into the
+    # next sub-step instead of transforming the stored envelope back
     fft, ifft = np.fft.fft, np.fft.ifft
+    spec = ifft(a)
     for k in range(n_sub):
-        a = fft(half * ifft(a)) * ph_a[k]
+        a = fft(half * spec) * ph_a[k]
         if nl_on:
             a *= np.exp(1j * (gamma @ (np.abs(a) ** 2)))
-        a = fft(half * ifft(a)) * ph_b[k]
+        spec = half * ifft(a)
+        a = fft(spec) * ph_b[k]
+        spec *= ph_b[k]
 
         if k % 2 == 0:
             mids[:, k // 2] = a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta
@@ -19,23 +20,22 @@ class ValidationFailure(ValueError):
 @dataclass
 class RunOutput:
     cfg: SourceConfig
-    pump_trace: PumpTrace
+    pump_trace: PumpTrace | None
     result: SimulationResult
-    metrics: MetricsReport
+
+    @cached_property
+    def metrics(self) -> MetricsReport:
+        """Computed on first access, so runs that need only the JTA skip it."""
+        return compute_metrics(self.result, self.cfg)
 
 
-def run_source(cfg: SourceConfig, keep_pump_trace: bool = False) -> RunOutput:
-    """Validate, propagate the pumps, evolve the JTA and compute metrics."""
+def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int = 0) -> RunOutput:
+    """Validate, propagate the pumps and evolve the JTA, storing `snapshots`
+    evenly spaced states; the metrics follow on first access."""
     rep = validate_config(cfg)
     if not rep.ok:
         raise ValidationFailure(rep.errors)
     env0 = initial_envelopes(cfg)
     trace = propagate_pumps(cfg, env0)
-    result = evolve_jta(cfg, trace)
-    metrics = compute_metrics(result, cfg)
-    return RunOutput(
-        cfg=cfg,
-        pump_trace=trace if keep_pump_trace else None,
-        result=result,
-        metrics=metrics,
-    )
+    result = evolve_jta(cfg, trace, snapshots=snapshots)
+    return RunOutput(cfg=cfg, pump_trace=trace if keep_pump_trace else None, result=result)

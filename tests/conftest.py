@@ -13,7 +13,7 @@ def fast_cfg():
 
 @pytest.fixture(scope="session")
 def fast_run(fast_cfg):
-    return run_source(fast_cfg, keep_pump_trace=True)
+    return run_source(fast_cfg, keep_pump_trace=True, snapshots=16)
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,27 @@ def test_simulate_artifacts(cfg_path, tmp_path):
     assert 0.0 < metrics["purity"] <= 1.0
 
 
+def test_simulate_dumps_every_requested_snapshot(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-jta",
+                 "--snapshots", "5"]) == 0
+    names = sorted(p.name for p in out.glob("snapshot_*_jta.cjm1"))
+    assert names == [f"snapshot_{k:03d}_jta.cjm1" for k in range(5)]
+    assert len({r["z_over_L"] for r in _read_csv(out / "spectral_map.csv")}) == 5
+
+
+@pytest.mark.parametrize("count", ["1", "-2", "102"])
+def test_simulate_bad_snapshot_count_exits_2(cfg_path, tmp_path, count):
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "out"),
+                 "--snapshots", count]) == 2
+
+
+def test_snapshot_count_is_not_a_config_key(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"numerics": {**FAST, "snapshot_count": 16}}))
+    assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 2
+
+
 def test_simulate_deterministic(cfg_path, tmp_path):
     for d in ("a", "b"):
         assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / d)]) == 0

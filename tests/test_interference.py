@@ -193,3 +193,24 @@ def test_delay_line_formulas():
 def test_delay_line_rejects_nonpositive():
     with pytest.raises(ValueError):
         delay_line_requirements(0.0)
+
+
+def test_hhom_matches_density_matrix_trace(fast_run, rng):
+    phi = fast_run.result.jta
+    other = _amp(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)), phi.grid)
+    a = phi.values / np.linalg.norm(phi.values)
+    b = other.values / np.linalg.norm(other.values)
+    trace = np.trace((a @ a.conj().T) @ (b @ b.conj().T)).real
+    assert abs(hhom_visibility(phi, other) - trace) <= 1e-12
+
+
+def test_optimizer_runs_no_metrics(monkeypatch, fast_cfg):
+    from taperfwm import simulate
+
+    def forbidden(*args):
+        raise AssertionError("optimize_delays computed source metrics")
+
+    monkeypatch.setattr(simulate, "compute_metrics", forbidden)
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    study = optimize_delays(fast_cfg, cfg2, coarse_points=3)
+    assert study.candidates

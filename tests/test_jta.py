@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from taperfwm import run_source, table1_config
+from taperfwm import jta, run_source, table1_config
 from taperfwm.config import derive_run_params
 from taperfwm.jta import _axis_exponents, evolve_jta, perturbative_oracle, source_term
 from taperfwm.metrics import jta_to_jsa
@@ -182,11 +182,11 @@ def test_fused_stepper_matches_reference(taper, xpm):
 
 
 def test_snapshot_nodes_do_not_change_result():
-    # snapshot_count = n_z + 1 leaves every step unfused, 2 fuses all but the last
+    # snapshots = n_z + 1 leaves every step unfused, 2 fuses all but the last
     cfg = _cfg(geometry={"taper_amplitude": 0.1e-6})
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
-    every = evolve_jta(cfg.replace(numerics={"snapshot_count": FAST["n_z"] + 1}), trace)
-    ends = evolve_jta(cfg.replace(numerics={"snapshot_count": 2}), trace)
+    every = evolve_jta(cfg, trace, snapshots=FAST["n_z"] + 1)
+    ends = evolve_jta(cfg, trace, snapshots=2)
     assert len(every.snapshots) == FAST["n_z"] + 1
     assert len(ends.snapshots) == 2
     scale = np.max(np.abs(every.jta.values))
@@ -209,4 +209,35 @@ def test_nan_pump_midpoint_names_first_bad_step():
     trace.a_p1_mid[41, 7] = np.nan
     trace.a_p1_mid[60, 7] = np.nan
     with pytest.raises(PropagationError, match=r"diverged at step 42$"):
+        evolve_jta(cfg, trace)
+
+
+def test_no_snapshots_same_result():
+    cfg = _cfg(geometry={"taper_amplitude": 0.1e-6})
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    none = evolve_jta(cfg, trace)
+    every = evolve_jta(cfg, trace, snapshots=FAST["n_z"] + 1)
+    assert none.snapshots == []
+    scale = np.max(np.abs(every.jta.values))
+    assert np.max(np.abs(every.jta.values - none.jta.values)) <= 1e-13 * scale
+    xi_every, xi_none = every.xi_profile.xi, none.xi_profile.xi
+    assert np.max(np.abs(xi_every - xi_none)) <= 1e-13 * xi_every.max()
+
+
+@pytest.mark.parametrize("count", [-1, 1, FAST["n_z"] + 2])
+def test_snapshot_count_out_of_range(count):
+    cfg = _cfg()
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    with pytest.raises(ValueError, match="snapshots"):
+        evolve_jta(cfg, trace, snapshots=count)
+
+
+def test_bookkeeping_checked_on_every_run(monkeypatch):
+    # a stepped field that loses no norm cannot match the loss bookkeeping
+    real = jta._axis_exponents
+    monkeypatch.setattr(jta, "_axis_exponents",
+                        lambda cfg, grid, include_loss=True: real(cfg, grid, include_loss=False))
+    cfg = _cfg()
+    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    with pytest.raises(PropagationError, match="bookkeeping"):
         evolve_jta(cfg, trace)

@@ -198,10 +198,10 @@ def test_spectral_cumulative_growth():
     # contributions from different z interfere and individual bins may dip;
     # the total and the phase-matched peak bin must still grow monotonically
     cfg = table1_config(
-        numerics={"n_t": 64, "n_z": 200, "snapshot_count": 8, "xpm_spm_enabled": False},
+        numerics={"n_t": 64, "n_z": 200, "xpm_spm_enabled": False},
         dispersion={"alpha_s": 1e-12, "alpha_i": 1e-12},
     )
-    out = run_source(cfg)
+    out = run_source(cfg, snapshots=8)
     zs, w_axis, smap = spectral_cumulative(out.result.snapshots, normalize=False)
     assert smap.shape == (len(zs), 64)
     totals = smap.sum(axis=1)
@@ -220,3 +220,24 @@ def test_spectral_cumulative_needs_snapshots(fast_run):
 def test_schmidt_number_inverse(fast_run):
     m = fast_run.metrics
     assert m.purity * m.schmidt_number == pytest.approx(1.0, abs=1e-12)
+
+
+def _svd_purity(values):
+    s = np.linalg.svd(values, compute_uv=False)
+    p = s**2 / np.sum(s**2)
+    return float(np.sum(p**2))
+
+
+def test_purity_matches_svd_on_graded_matrix(rng):
+    # Schmidt values spread from 1 to 1e-18
+    n = 64
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    vals = (q1 * np.logspace(0, -18, n)) @ q2
+    p = heralded_purity(_amp(vals, _grid()))
+    assert abs(p - _svd_purity(vals)) <= 1e-12
+
+
+def test_purity_matches_svd_on_simulated_jta(fast_run):
+    phi = fast_run.result.jta
+    assert abs(heralded_purity(phi) - _svd_purity(phi.values)) <= 1e-12
