@@ -10,7 +10,7 @@ import csv
 from pathlib import Path
 
 from taperfwm import table1_config
-from taperfwm.interference import evaluate_pair, optimize_delays
+from taperfwm.interference import SourceCache, evaluate_pair, optimize_delays
 
 
 def main():
@@ -29,6 +29,7 @@ def main():
     key = "height_offset" if args.error == "height" else "width_offset"
     cfg1 = table1_config(numerics={"n_t": args.n_t, "n_z": args.n_z},
                          geometry={"taper_amplitude": args.taper_um * 1e-6})
+    src1 = SourceCache(cfg1)  # source 1 is the same at every offset
     path = args.output / f"{args.error}_error.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -36,12 +37,13 @@ def main():
                     "opt_v_rhom", "opt_v_hhom", "opt_tau1_ps", "opt_tau2_ps"])
         for off in args.offsets_nm:
             cfg2 = cfg1.replace(geometry={key: off * 1e-9})
-            raw = evaluate_pair(cfg1, cfg2)
+            sources = (src1, SourceCache(cfg2))
+            raw = evaluate_pair(cfg1, cfg2, sources)
             row = [f"{off:.2f}", f"{raw.v_rhom:.6f}", f"{raw.v_hhom:.6f}"]
             if args.skip_optimize:
                 row += ["", "", "", ""]
             else:
-                opt = optimize_delays(cfg1, cfg2)
+                opt = optimize_delays(cfg1, cfg2, sources=sources)
                 row += [f"{opt.v_rhom:.6f}", f"{opt.v_hhom:.6f}",
                         f"{opt.optimal_tau1 * 1e12:.3f}", f"{opt.optimal_tau2 * 1e12:.3f}"]
             w.writerow(row)

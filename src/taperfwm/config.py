@@ -270,6 +270,8 @@ def derive_run_params(cfg: SourceConfig) -> RunParams:
 
 
 _WALKOFF_CHECK_TOL = 0.10
+# largest launch-pulse amplitude allowed at the edges of the time window
+_EDGE_AMPLITUDE = 1e-6
 
 
 def validate_config(cfg: SourceConfig) -> ValidationReport:
@@ -331,6 +333,18 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
             rep.errors.append(
                 f"pump.tau = {p.tau:.3e} s outside [0, tau_max = {tmax:.3e} s]"
             )
+        else:
+            # both launch pulses must have decayed at the periodic window's
+            # first and last grid points (pump 1 at tau, pump 2 at T = 0)
+            dt = (t_max - t_min) / num.n_t
+            ends = t_min + dt * np.array([0, num.n_t - 1])
+            for center in (p.tau / p.t0_fwhm, 0.0):
+                edge = np.exp(-2.0 * np.log(2.0) * (ends - center) ** 2).max()
+                if edge > _EDGE_AMPLITUDE:
+                    rep.errors.append(
+                        f"numerics.t_window too small: pulse at T={center:.2f} has edge "
+                        f"amplitude {edge:.2e} (limit {_EDGE_AMPLITUDE})"
+                    )
 
     # internal consistency of the tabulated walk-off lengths vs the velocities
     for name, l_w, v in (("l_w_p", d.l_w_p, d.v_p2), ("l_w_s", d.l_w_s, d.v_s), ("l_w_i", d.l_w_i, d.v_i)):

@@ -3,6 +3,9 @@ pump-delay optimizer."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +47,12 @@ def _check_same_grid(phi1, phi2):
         raise ValueError("joint amplitudes live on different grids")
 
 
+# _unit and rhom_visibility, the optimizer's objective, sum with np.sum:
+# np.linalg.norm and np.vdot on a whole amplitude wake the OpenBLAS thread
+# pool, whose spinning threads then compete with the source workers
 def _unit(phi: JointAmplitude) -> np.ndarray:
-    norm = np.linalg.norm(phi.values)
+    v = phi.values
+    norm = np.sqrt(np.sum(v.real**2 + v.imag**2))
     if norm == 0.0:
         raise ValueError("visibility undefined for a zero amplitude")
     return phi.values / norm
@@ -57,7 +64,7 @@ def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     if phi1.domain != phi2.domain:
         raise ValueError("joint amplitudes must be in the same domain")
     a, b = _unit(phi1), _unit(phi2)
-    return float(np.abs(np.vdot(b, a)) ** 2)
+    return float(np.abs(np.sum(b.conj() * a)) ** 2)
 
 
 def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
@@ -156,11 +163,54 @@ class SourceCache:
         self._runs = {}
 
     def jta(self, tau: float) -> JointAmplitude:
+        """The JTA at tau; a miss is simulated in this process."""
+        _fill(None, [(self, tau)])
+        return self._runs[float(tau)]
+
+
+def _source_jta(cfg: SourceConfig) -> JointAmplitude:
+    """One source run, reduced to the JTA that the visibilities need."""
+    return run_source(cfg).result.jta
+
+
+def _worker_count() -> int:
+    """Worker processes for source runs: one per CPU this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _source_pool(batch: int):
+    """A process pool for the source runs of one call, with no more workers
+    than its largest batch of runs, or None (runs stay in this process) when
+    only one CPU is available.  The workers are joined when the block ends,
+    also when it raises."""
+    jobs = min(_worker_count(), batch)
+    if jobs < 2:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fill(pool, requests):
+    """Simulate every (cache, tau) of requests that is not cached yet, as
+    one batch in the pool when there is one."""
+    todo = {}
+    for cache, tau in requests:
         key = float(tau)
-        if key not in self._runs:
-            cfg = self.cfg.replace(pump={"tau": key})
-            self._runs[key] = run_source(cfg).result.jta
-        return self._runs[key]
+        if key not in cache._runs:
+            todo[id(cache), key] = (cache, key)
+    if not todo:
+        return
+    cfgs = [cache.cfg.replace(pump={"tau": key}) for cache, key in todo.values()]
+    jtas = map(_source_jta, cfgs) if pool is None else pool.map(_source_jta, cfgs)
+    for (cache, key), jta in zip(todo.values(), jtas):
+        cache._runs[key] = jta
 
 
 def _source_caches(cfg1, cfg2, sources):
@@ -197,6 +247,8 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
     optimize_delays reuse the two runs."""
     t0 = cfg1.pump.t0_fwhm
     src1, src2 = _source_caches(cfg1, cfg2, sources)
+    with _source_pool(2) as pool:
+        _fill(pool, [(src1, cfg1.pump.tau), (src2, cfg2.pump.tau)])
     phi1 = src1.jta(cfg1.pump.tau)
     phi2 = src2.jta(cfg2.pump.tau)
     vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
@@ -226,6 +278,7 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     def measure(tau1, tau2):
         key = (float(tau1), float(tau2))
         if key not in obj_cache:
+            _fill(pool, [(src1, tau1), (src2, tau2)])
             phi1 = src1.jta(tau1)
             phi2 = src2.jta(tau2)
             try:
@@ -246,30 +299,41 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
             return False
         return np.linalg.norm(np.asarray(a) - center) < np.linalg.norm(np.asarray(b) - center) - 1e-18
 
+    def clip(tau):
+        return min(max(tau, 0.0), tau_max)
+
+    # every source run goes to the pool in batches: the start point and the
+    # coarse grid of both sources, then the two runs each compass round
+    # always measures (source 1 at best + step, source 2 at best + step);
+    # measure sends any other miss on its own
     taus = np.linspace(0.0, tau_max, coarse_points)
     best = (tau_max / 2.0, tau_max / 2.0)
-    best_v = measure(*best)
-    for t1 in taus:
-        for t2 in taus:
-            v = measure(t1, t2)
-            if better((t1, t2), v, best, best_v):
-                best, best_v = (float(t1), float(t2)), v
+    coarse = [(src1, best[0]), (src2, best[1])] + [(src, t) for src in (src1, src2) for t in taus]
+    with _source_pool(len(coarse)) as pool:
+        _fill(pool, coarse)
+        best_v = measure(*best)
+        for t1 in taus:
+            for t2 in taus:
+                v = measure(t1, t2)
+                if better((t1, t2), v, best, best_v):
+                    best, best_v = (float(t1), float(t2)), v
 
-    step = tau_max / (coarse_points - 1) / 2.0
-    tol = tau_max / 200.0
-    while step >= tol:
-        moved = False
-        for delta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = (min(max(best[0] + delta[0], 0.0), tau_max),
-                    min(max(best[1] + delta[1], 0.0), tau_max))
-            if cand == best:
-                continue
-            v = measure(*cand)
-            if better(cand, v, best, best_v):
-                best, best_v = cand, v
-                moved = True
-        if not moved:
-            step /= 2.0
+        step = tau_max / (coarse_points - 1) / 2.0
+        tol = tau_max / 200.0
+        while step >= tol:
+            _fill(pool, [(src, clip(b + step)) for src, b in zip((src1, src2), best)
+                         if clip(b + step) != b])
+            moved = False
+            for delta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                cand = (clip(best[0] + delta[0]), clip(best[1] + delta[1]))
+                if cand == best:
+                    continue
+                v = measure(*cand)
+                if better(cand, v, best, best_v):
+                    best, best_v = cand, v
+                    moved = True
+            if not moved:
+                step /= 2.0
 
     phi1 = src1.jta(best[0])
     phi2 = src2.jta(best[1])

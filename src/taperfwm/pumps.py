@@ -14,8 +14,6 @@ from .config import Grid, SourceConfig, derive_run_params
 from .mismatch import kappa_profile
 from .spectral import omega_axis
 
-_EDGE_AMPLITUDE = 1e-6
-
 
 class PropagationError(RuntimeError):
     """Numerical failure (NaN/overflow) during stepping."""
@@ -60,16 +58,6 @@ def initial_envelopes(cfg: SourceConfig, grid: Grid | None = None) -> PumpEnvelo
     grid = grid or cfg.grid()
     rp = derive_run_params(cfg)
     tau_norm = cfg.pump.tau / cfg.pump.t0_fwhm
-    for center in (tau_norm, 0.0):
-        edge = max(
-            np.exp(-2.0 * np.log(2.0) * (grid.t_axis[0] - center) ** 2),
-            np.exp(-2.0 * np.log(2.0) * (grid.t_axis[-1] - center) ** 2),
-        )
-        if edge > _EDGE_AMPLITUDE:
-            raise ValueError(
-                f"time window too small: pulse at T={center:.2f} has edge "
-                f"amplitude {edge:.2e} (limit {_EDGE_AMPLITUDE})"
-            )
     a1 = gaussian_envelope(grid.t_axis, tau_norm, rp.p_peak_1).astype(complex)
     a2 = gaussian_envelope(grid.t_axis, 0.0, rp.p_peak_2).astype(complex)
     return PumpEnvelopes(a_p1=a1, a_p2=a2, z=0.0)

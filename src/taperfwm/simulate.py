@@ -16,6 +16,11 @@ class ValidationFailure(ValueError):
         super().__init__("; ".join(errors))
         self.errors = errors
 
+    def __reduce__(self):
+        # unpickling (a run in a worker process) rebuilds from the list,
+        # not from the joined message
+        return type(self), (self.errors,)
+
 
 @dataclass
 class RunOutput:

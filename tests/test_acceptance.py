@@ -20,6 +20,7 @@ from taperfwm import run_source, table1_config
 from taperfwm.analytic import fit_erf
 from taperfwm.config import Grid, NumericsSpec, derive_run_params, tau_max_of
 from taperfwm.interference import (
+    SourceCache,
     delay_line_requirements,
     evaluate_pair,
     hhom_visibility,
@@ -143,18 +144,21 @@ def test_criterion_06_identical_source_hhom():
 def test_criterion_07_height_error_study():
     cfg1 = table1_config(numerics=PAIR, geometry={"taper_amplitude": 0.25e-6})
     cfg2 = cfg1.replace(geometry={"height_offset": 1e-9})
-    raw = evaluate_pair(cfg1, cfg2)
+    # one cache per source configuration: the tau values of source 1 recur
+    # across the three studies, and no (configuration, tau) runs twice
+    src1, src2 = SourceCache(cfg1), SourceCache(cfg2)
+    raw = evaluate_pair(cfg1, cfg2, (src1, src2))
     checks = [
         (abs(raw.v_rhom - 0.89) <= 0.05, f"raw V_RHOM(1nm) {raw.v_rhom:.4f} vs 0.89+-0.05"),
         (abs(raw.v_hhom - 0.81) <= 0.05, f"raw V_HHOM(1nm) {raw.v_hhom:.4f} vs 0.81+-0.05"),
     ]
-    opt = optimize_delays(cfg1, cfg2)
+    opt = optimize_delays(cfg1, cfg2, sources=(src1, src2))
     checks.append((opt.v_rhom > 0.995, f"optimized V_RHOM(1nm) {opt.v_rhom:.4f} > 0.995"))
-    equal = evaluate_pair(cfg1, cfg1)
+    equal = evaluate_pair(cfg1, cfg1, (src1, src1))
     deg = (equal.v_hhom - opt.v_hhom) / equal.v_hhom
     checks.append((deg < 5e-3, f"optimized V_HHOM degradation {deg * 1e2:.2f}% < 0.5%"))
     cfg3 = cfg1.replace(geometry={"height_offset": 4.3e-9})
-    opt43 = optimize_delays(cfg1, cfg3)
+    opt43 = optimize_delays(cfg1, cfg3, sources=(src1, SourceCache(cfg3)))
     checks.append((opt43.v_rhom > 0.95, f"optimized V_RHOM(4.3nm) {opt43.v_rhom:.4f} > 0.95"))
     _report(7, checks)
 
@@ -162,7 +166,9 @@ def test_criterion_07_height_error_study():
 def test_criterion_08_width_error_study():
     cfg1 = table1_config(numerics=STUDY, geometry={"taper_amplitude": 0.1e-6})
     cfg2 = cfg1.replace(geometry={"width_offset": 60e-9})
-    raw = evaluate_pair(cfg1, cfg2)
+    # source 1 is shared by every study, source 2 by the raw and 60 nm ones
+    src1, src2 = SourceCache(cfg1), SourceCache(cfg2)
+    raw = evaluate_pair(cfg1, cfg2, (src1, src2))
     checks = [
         (abs(raw.v_rhom - 0.92) <= 0.05, f"raw V_RHOM(60nm) {raw.v_rhom:.4f} vs 0.92+-0.05"),
         (abs(raw.v_hhom - 0.88) <= 0.05, f"raw V_HHOM(60nm) {raw.v_hhom:.4f} vs 0.88+-0.05"),
@@ -171,7 +177,8 @@ def test_criterion_08_width_error_study():
     t1, t2 = [], []
     opt60 = None
     for dw in dws:
-        opt = optimize_delays(cfg1, cfg1.replace(geometry={"width_offset": dw}))
+        cfg = cfg1.replace(geometry={"width_offset": dw})
+        opt = optimize_delays(cfg1, cfg, sources=(src1, src2 if cfg == cfg2 else SourceCache(cfg)))
         t1.append(opt.optimal_tau1)
         t2.append(opt.optimal_tau2)
         opt60 = opt

@@ -166,3 +166,33 @@ def test_invalid_tau_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "o")]) == 2
+
+
+def _window_cfg_path(tmp_path, t_window):
+    cfg = config_to_dict(table1_config(numerics={**FAST, "t_window": t_window}))
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+@pytest.mark.parametrize("command", ["simulate", "pair"])
+def test_time_window_too_small_exits_2(tmp_path, capsys, command):
+    # the span check passes, but pump 2 at T = 0 sits 1.5 pulse widths from
+    # the window's lower edge
+    p = _window_cfg_path(tmp_path, (-1.5, 14.5))
+    configs = ["-c", str(p)] if command == "simulate" else ["-c1", str(p), "-c2", str(p)]
+    assert main([command, *configs, "-o", str(tmp_path / "o")]) == 2
+    assert "t_window too small" in capsys.readouterr().err
+
+
+def test_sweep_time_window_error_is_a_row(tmp_path):
+    # the window fits the pulse at tau_max/2 but not pump 1 at tau_max
+    p = _window_cfg_path(tmp_path, (-4.0, 9.0))
+    tm = tau_max_of(table1_config())
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", str(p), "-o", str(out), "--param", "tau",
+               "--from", str(0.5 * tm), "--to", str(tm), "--steps", "2", "--jobs", "1"])
+    assert rc == 3
+    rows = _read_csv(out / "sweep.csv")
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert "t_window too small" in rows[-1]["error"]

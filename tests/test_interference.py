@@ -1,5 +1,8 @@
 """Two-source visibilities, delay compensation, optimizer, delay-line sizing."""
 
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from taperfwm.interference import (
 )
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import arrival_times, heralded_purity
+from taperfwm.simulate import ValidationFailure
 
 T0 = 0.8e-12
 FAST = {"n_t": 64, "n_z": 100}
@@ -145,7 +149,18 @@ def test_optimizer_beats_center(fast_cfg):
     assert study.v_rhom >= center.v_rhom - 1e-12
 
 
+def _serial(monkeypatch):
+    monkeypatch.setattr(interference, "_worker_count", lambda: 1)
+
+
+def _pooled(monkeypatch):
+    # two workers even on a single CPU, so that the pool path is exercised
+    monkeypatch.setattr(interference, "_worker_count", lambda: 2)
+
+
 def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
+    # run_source is counted in this process, so the runs must stay in it
+    _serial(monkeypatch)
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
     raw_alone = evaluate_pair(fast_cfg, cfg2)
     opt_alone = optimize_delays(fast_cfg, cfg2, coarse_points=3)
@@ -214,3 +229,88 @@ def test_optimizer_runs_no_metrics(monkeypatch, fast_cfg):
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
     study = optimize_delays(fast_cfg, cfg2, coarse_points=3)
     assert study.candidates
+
+
+def _optimize(monkeypatch, pool, cfg1, cfg2, **kw):
+    (_pooled if pool else _serial)(monkeypatch)
+    sources = (SourceCache(cfg1), SourceCache(cfg2))
+    return optimize_delays(cfg1, cfg2, sources=sources, **kw), sources
+
+
+# criterion 8's pair on the fast grid: its compass search moves, so some
+# rounds measure neighbours that no batch could know in advance
+MOVING_PAIR = table1_config(numerics=FAST, geometry={"taper_amplitude": 0.1e-6})
+
+
+def test_pool_and_serial_paths_agree_bitwise(monkeypatch):
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    serial, serial_src = _optimize(monkeypatch, False, MOVING_PAIR, cfg2, coarse_points=5)
+    pooled, pooled_src = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
+    assert pooled.candidates == serial.candidates
+    assert (pooled.optimal_tau1, pooled.optimal_tau2) == (serial.optimal_tau1, serial.optimal_tau2)
+    assert (pooled.v_rhom, pooled.v_hhom) == (serial.v_rhom, serial.v_hhom)
+    for a, b in zip(pooled_src, serial_src):
+        assert a._runs.keys() == b._runs.keys()
+        for tau in a._runs:
+            assert np.array_equal(a._runs[tau].values, b._runs[tau].values)
+
+
+def test_pool_runs_only_candidate_taus(monkeypatch):
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    study, (src1, src2) = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
+    assert set(src1._runs) == {c[0] for c in study.candidates}
+    assert set(src2._runs) == {c[1] for c in study.candidates}
+
+
+def test_pool_workers_are_joined(monkeypatch, fast_cfg):
+    _pooled(monkeypatch)
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    optimize_delays(fast_cfg, cfg2, coarse_points=3)
+    assert multiprocessing.active_children() == []
+    bad = fast_cfg.replace(numerics={"n_z": 50})
+    with pytest.raises(ValidationFailure):
+        optimize_delays(bad, bad, coarse_points=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_validation_failure_pickles_intact():
+    errors = ["numerics.n_z must be >= 100", "pump.rep_rate must be > 0"]
+    exc = pickle.loads(pickle.dumps(ValidationFailure(errors)))
+    assert isinstance(exc, ValidationFailure)
+    assert exc.errors == errors
+    assert str(exc) == "numerics.n_z must be >= 100; pump.rep_rate must be > 0"
+
+
+def test_worker_validation_failure_reaches_caller(monkeypatch):
+    _pooled(monkeypatch)
+    cfg = table1_config(numerics={"n_t": 128, "n_z": 50})
+    with pytest.raises(ValidationFailure) as info:
+        evaluate_pair(cfg, cfg)
+    assert info.value.errors == ["numerics.n_z must be >= 100"]
+    assert str(info.value) == "numerics.n_z must be >= 100"
+
+
+@pytest.mark.parametrize("case", ["jta", "random"])
+def test_blas_free_objective_matches_numpy(fast_run, case):
+    if case == "jta":
+        phi = fast_run.result.jta
+        other = apply_time_shift(phi, 0.3 * T0, -0.2 * T0, T0, wrap_tol=1e-3)
+    else:
+        rng = np.random.default_rng(7)
+        g = fast_run.result.jta.grid
+        phi, other = (_amp(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)), g)
+                      for _ in range(2))
+    for amp in (phi, other):
+        unit = interference._unit(amp)
+        ref = amp.values / np.linalg.norm(amp.values)
+        assert np.max(np.abs(unit - ref)) <= 1e-14 * np.max(np.abs(ref))
+    a = other.values / np.linalg.norm(other.values)
+    b = phi.values / np.linalg.norm(phi.values)
+    ref = abs(np.vdot(a, b)) ** 2
+    v = rhom_visibility(phi, other)
+    if case == "jta":
+        assert v == pytest.approx(ref, rel=1e-14)
+    else:
+        # two random amplitudes are nearly orthogonal, and the overlap sum
+        # cancels: compare the overlap magnitude against its bound |a||b| = 1
+        assert abs(np.sqrt(v) - np.sqrt(ref)) <= 1e-14
