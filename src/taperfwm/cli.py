@@ -167,7 +167,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _observed_orders(values) -> np.ndarray:
+    """log2(d[k-1] / d[k]) of the successive changes d[k] = |v[k] - v[k-1]|;
+    inf or nan where a change is zero."""
+    d = np.abs(np.diff(values))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log2(d[:-1] / d[1:])
+
+
 def cmd_convergence(args) -> int:
+    if args.doublings < 1:
+        raise ConfigError(f"--doublings must be >= 1, got {args.doublings}")
     cfg = load_config(args.config)
     writer = io.ArtifactWriter("convergence", args.output, [cfg])
     rows = []
@@ -175,15 +185,19 @@ def cmd_convergence(args) -> int:
     for k in range(args.doublings + 1):
         c = cfg.replace(numerics={"n_t": n_t, "n_z": n_z * 2**k})
         m = run_source(c).metrics
-        rows.append((n_t, n_z * 2**k, m.xi, m.purity))
+        rows.append((n_t, n_z * 2**k, m.xi, m.purity, m.dlam_s))
     with open(writer.path("convergence.csv"), "w") as fh:
-        fh.write("n_t,n_z,xi,purity\n")
+        fh.write("n_t,n_z,xi,purity,dlam_s\n")
         for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}\n")
+            fh.write(f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g}\n")
     writer.add(writer.path("convergence.csv"))
     writer.finish()
     last_rel = abs(rows[-1][2] - rows[-2][2]) / abs(rows[-1][2])
     print(f"last n_z doubling changed xi by {last_rel:.2e}")
+    if args.doublings >= 2:
+        for col, name in ((2, "xi"), (3, "purity"), (4, "dlam_s")):
+            orders = " ".join(f"{o:.2f}" for o in _observed_orders([r[col] for r in rows]))
+            print(f"observed order in n_z, {name}: {orders}")
     return EXIT_OK
 
 
@@ -226,10 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("-o", "--output", required=True)
     orc.set_defaults(func=cmd_oracle)
 
-    cv = sub.add_parser("convergence", help="xi/purity vs n_z doublings")
+    cv = sub.add_parser("convergence", help="xi/purity/dlam_s vs n_z doublings")
     cv.add_argument("-c", "--config", required=True)
     cv.add_argument("-o", "--output", required=True)
-    cv.add_argument("--doublings", type=int, default=2)
+    cv.add_argument("--doublings", type=int, default=2,
+                    help="n_z doublings, >= 1; from 2 on the observed order is printed")
     cv.set_defaults(func=cmd_convergence)
     return p
 

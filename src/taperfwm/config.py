@@ -106,16 +106,13 @@ class DispersionSet:
 class MismatchModel:
     """Linear model for the net phase mismatch induced by geometry deviations.
 
-    kappa(z) = c_kappa_w * (w(z) - nominal width) + c_kappa_h * height_offset,
-    distributed among the four per-field detunings according to `distribution`
-    (weights must satisfy p1 + p2 - s - i = 1 so the net mismatch is kappa).
+    kappa(z) = c_kappa_w * (w(z) - nominal width) + c_kappa_h * height_offset.
+    It enters the model only as the source phase exp(i Theta(z)),
+    Theta(z) = int_0^z kappa (see mismatch.mismatch_phase).
     """
 
     c_kappa_w: float = 0.0   # rad/m per m of width deviation
     c_kappa_h: float = 0.0   # rad/m per m of height deviation
-    distribution: dict = field(
-        default_factory=lambda: {"p1": 0.5, "p2": 0.5, "s": 0.0, "i": 0.0}
-    )
 
 
 @dataclass(frozen=True)
@@ -182,20 +179,6 @@ class SourceConfig:
 
     def grid(self) -> Grid:
         return Grid.from_numerics(self.numerics)
-
-    def cache_key(self) -> tuple:
-        """Hashable identity of the full configuration."""
-
-        def freeze(obj):
-            if dataclasses.is_dataclass(obj):
-                return tuple(freeze(getattr(obj, f.name)) for f in dataclasses.fields(obj))
-            if isinstance(obj, dict):
-                return tuple(sorted(obj.items()))
-            if isinstance(obj, (list, tuple)):
-                return tuple(freeze(x) for x in obj)
-            return obj
-
-        return freeze(self)
 
 
 @dataclass
@@ -320,11 +303,21 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
     if t_max <= t_min:
         rep.errors.append("numerics.t_window must be an increasing interval")
     elif g.length > 0 and d.l_w_i != 0:
-        needed = g.length / abs(d.l_w_i) + 6.0
+        drift = g.length / abs(d.l_w_i)
+        needed = drift + 6.0
         if (t_max - t_min) < needed:
             rep.errors.append(
                 f"t_window span {t_max - t_min:.2f} too small: Idler drift plus "
                 f"margins needs at least {needed:.2f}"
+            )
+        # the JTA stepper is wrong, silently, once the Idler walks more
+        # than one time cell per z-step
+        dt = (t_max - t_min) / num.n_t
+        if num.n_t > 0 and num.n_z > 0 and num.n_z * dt < drift:
+            rep.errors.append(
+                f"numerics.n_z = {num.n_z} too small for n_t = {num.n_t}: the Idler "
+                f"walks {drift / (num.n_z * dt):.2f} time cells per z-step (at most 1); "
+                f"need n_z >= {math.ceil(drift / dt)}"
             )
 
     if not rep.errors:
@@ -356,15 +349,6 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
                 f"dispersion.{name}: |value| {abs(l_w):.3e} m differs from the "
                 f"velocity-implied {from_v:.3e} m; tabulated value is used"
             )
-
-    dist = cfg.mismatch.distribution
-    extra = set(dist) - {"p1", "p2", "s", "i"}
-    if extra:
-        rep.errors.append(f"mismatch.distribution has unknown fields {sorted(extra)}")
-    else:
-        net = dist.get("p1", 0.0) + dist.get("p2", 0.0) - dist.get("s", 0.0) - dist.get("i", 0.0)
-        if abs(net - 1.0) > 1e-12:
-            rep.errors.append("mismatch.distribution weights must satisfy p1 + p2 - s - i = 1")
 
     return rep
 

@@ -4,7 +4,6 @@ artifacts and the run manifest."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import struct
@@ -101,47 +100,6 @@ def _write_sidecar(phi: JointAmplitude, path: Path):
         "axis": [float(v) for v in axis],
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def write_matrix_csv(phi: JointAmplitude, path) -> Path:
-    """(row, col, re, im) long form; values survive re-import bit-exactly."""
-    path = Path(path)
-    vals = phi.values
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "re", "im"])
-        for r in range(vals.shape[0]):
-            for c in range(vals.shape[1]):
-                w.writerow([r, c, _fmt(vals[r, c].real), _fmt(vals[r, c].imag)])
-    _write_sidecar(phi, path.with_suffix(path.suffix + ".json"))
-    return path
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    path = Path(path)
-    rows, cols, res, ims = [], [], [], []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != ["row", "col", "re", "im"]:
-            raise FormatError(f"{path}: unexpected header {header}")
-        for rec in rd:
-            rows.append(int(rec[0]))
-            cols.append(int(rec[1]))
-            res.append(float(rec[2]))
-            ims.append(float(rec[3]))
-    n_rows, n_cols = max(rows) + 1, max(cols) + 1
-    out = np.zeros((n_rows, n_cols), complex)
-    out[rows, cols] = np.asarray(res) + 1j * np.asarray(ims)
-    return out
-
-
-def export_matrix(phi: JointAmplitude, path, fmt: str = "cjm1") -> Path:
-    if fmt == "cjm1":
-        return write_cjm1(phi, path)
-    if fmt == "csv":
-        return write_matrix_csv(phi, path)
-    raise ValueError(f"unknown matrix format {fmt!r}")
 
 
 def write_metrics_json(metrics: MetricsReport, path) -> Path:

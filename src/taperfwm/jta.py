@@ -1,8 +1,8 @@
 """Driven two-dimensional evolution of the joint temporal amplitude.
 
-The stepped field is the reduced amplitude with the accumulated
-signal/idler taper phase factored out; the phase is restored on every
-stored snapshot and on the final state.
+The geometry acts only through the net phase mismatch, which the source
+carries as exp(i Theta(z)) (see mismatch.mismatch_phase); the pump
+envelopes and the stepped amplitude carry no mismatch phase of their own.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Grid, SourceConfig, derive_run_params
-from .mismatch import kappa_profile
+from .mismatch import mismatch_phase
 from .pumps import PropagationError, PumpEnvelopes, PumpTrace
 from .spectral import omega_axis
 
@@ -60,14 +60,20 @@ class SimulationResult:
     xi_from_rhs: float     # cumulative-probability bookkeeping (loss + source)
 
 
+def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
+    """Diagonal of the FWM driving term for the net mismatch phase theta."""
+    return 2j * np.pi * gamma_fwm * a1 * a2 * np.exp(1j * theta) / dt
+
+
 def source_term(
     pumps: PumpEnvelopes,
     grid: Grid,
     gamma_fwm: float,
-    theta_si: float = 0.0,
+    theta: float = 0.0,
     form: str = "diagonal",
 ) -> np.ndarray:
-    """FWM driving term on the (T_s, T_i) grid at the pump's position.
+    """FWM driving term on the (T_s, T_i) grid at the pump's position, for
+    the net mismatch phase theta = Theta(z) accumulated up to that position.
 
     The delta ridge of the driving term lives on the grid diagonal with a
     2*pi/dt weight: 1/dt realizes the Dirac delta on the discrete diagonal
@@ -77,10 +83,9 @@ def source_term(
     cross-check).
     """
     n = grid.n
-    diag = 2j * np.pi * gamma_fwm * pumps.a_p1 * pumps.a_p2 * np.exp(-1j * theta_si) / grid.dt
     if form == "diagonal":
         out = np.zeros((n, n), complex)
-        np.fill_diagonal(out, diag)
+        np.fill_diagonal(out, _source_diag(pumps.a_p1, pumps.a_p2, gamma_fwm, theta, grid.dt))
         return out
     if form == "spectral":
         spec1 = np.fft.ifft(pumps.a_p1)
@@ -89,7 +94,7 @@ def source_term(
         idx = np.arange(n)
         for m in range(n):
             conv[m] = np.sum(spec1 * spec2[(m - idx) % n])
-        g = 2j * np.pi * gamma_fwm * np.exp(-1j * theta_si) * conv / (n * grid.dt)
+        g = 2j * np.pi * gamma_fwm * np.exp(1j * theta) * conv / (n * grid.dt)
         ridge = g[(idx[:, None] + idx[None, :]) % n]
         return np.fft.fft2(ridge)
     raise ValueError(f"unknown source form {form!r}")
@@ -97,7 +102,7 @@ def source_term(
 
 def _axis_exponents(cfg: SourceConfig, grid: Grid, include_loss=True):
     """Per-unit-length linear-operator exponents L_hat(w) for both axes
-    (no taper phase, which is factored out of the stepped field)."""
+    (the mismatch phase is carried by the source)."""
     d, num = cfg.dispersion, cfg.numerics
     rp = derive_run_params(cfg)
     w = omega_axis(num.n_t, grid.dt)
@@ -143,7 +148,6 @@ def evolve_jta(
     grid = pump_trace.grid
     d, num = cfg.dispersion, cfg.numerics
     rp = derive_run_params(cfg)
-    kp = kappa_profile(cfg)
     n = num.n_t
     n_z = pump_trace.n_z
     L = cfg.geometry.length
@@ -154,8 +158,6 @@ def evolve_jta(
     half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
     full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
 
-    dist = cfg.mismatch.distribution
-    w_si = dist.get("s", 0.0) + dist.get("i", 0.0)
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
     decay_half = np.exp(-sigma * h / 2.0)
     gamma_fwm = d.gamma_p1p2si
@@ -170,10 +172,7 @@ def evolve_jta(
         state[...] = initial.values
     diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
 
-    # accumulated signal+idler taper phase, midpoint quadrature per step
-    kap_mid = kp.kappa(pump_trace.z_mid)
-    theta_si_mid = w_si * (np.cumsum(kap_mid) - 0.5 * kap_mid) * h
-    theta_si_nodes = np.concatenate([[0.0], w_si * np.cumsum(kap_mid) * h])
+    theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
 
     xi = np.empty(n_z + 1)
     xi[0] = float(np.sum(np.abs(state) ** 2)) * dt * dt
@@ -182,7 +181,6 @@ def evolve_jta(
     snaps = []
 
     def physical(k, values_time):
-        values_time *= np.exp(1j * theta_si_nodes[k])
         return JointAmplitude(values=values_time, domain="time", grid=grid, z=float(pump_trace.z_nodes[k]))
 
     # in-place transforms; fftn/ifftn because ifft2 drops its out= (numpy 2.4)
@@ -213,7 +211,7 @@ def evolve_jta(
             state *= np.exp(1j * h * ni)[None, :]
 
         if include_source:
-            src_diag = 2j * np.pi * gamma_fwm * a1 * a2 * np.exp(-1j * theta_si_mid[k]) / dt
+            src_diag = _source_diag(a1, a2, gamma_fwm, theta_mid[k], dt)
             gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
             diag += h * src_diag
         else:
@@ -264,19 +262,12 @@ def perturbative_oracle(
         raise ValueError("perturbative oracle requires xpm_spm_enabled = False")
     grid = pump_trace.grid
     d, num = cfg.dispersion, cfg.numerics
-    kp = kappa_profile(cfg)
     n = num.n_t
     n_z = pump_trace.n_z
     L = cfg.geometry.length
     h = L / n_z
     dt = grid.dt
-
-    dist = cfg.mismatch.distribution
-    w_si = dist.get("s", 0.0) + dist.get("i", 0.0)
-
-    kap_mid = kp.kappa(pump_trace.z_mid)
-    theta_si_mid = w_si * (np.cumsum(kap_mid) - 0.5 * kap_mid) * h
-    theta_si_L = w_si * np.sum(kap_mid) * h
+    theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
 
     ls, li = _axis_exponents(cfg, grid, include_loss=include_loss)
 
@@ -286,10 +277,9 @@ def perturbative_oracle(
     for k in range(n_z):
         a1 = pump_trace.a_p1_mid[k]
         a2 = pump_trace.a_p2_mid[k]
-        diag = 2j * np.pi * d.gamma_p1p2si * a1 * a2 * np.exp(-1j * theta_si_mid[k]) / dt
+        diag = _source_diag(a1, a2, d.gamma_p1p2si, theta_mid[k], dt)
         g = np.fft.ifft(diag) / n
         rest = L - pump_trace.z_mid[k]
         acc += h * np.exp(ls * rest)[:, None] * np.exp(li * rest)[None, :] * g[ridge_idx]
 
-    phi = np.fft.fft2(acc) * np.exp(1j * theta_si_L)
-    return JointAmplitude(values=phi, domain="time", grid=grid, z=L)
+    return JointAmplitude(values=np.fft.fft2(acc), domain="time", grid=grid, z=L)

@@ -1,8 +1,11 @@
-"""Geometry -> phase-mismatch mapping and the nonlinear-parameter quadrature."""
+"""Geometry -> phase-mismatch mapping.
+
+The width taper and the fabrication offsets act on the source only through
+the net phase mismatch kappa(z), which enters the model once: as the source
+phase exp(i Theta(z)) of the pump product, Theta(z) = int_0^z kappa.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,75 +30,14 @@ def calibrate_mismatch(dlam_dw: float, dlam_dh: float, disp: DispersionSet) -> M
     )
 
 
-@dataclass(frozen=True)
-class KappaProfile:
-    """Net mismatch kappa(z) and its split among the four fields."""
+def mismatch_phase(cfg: SourceConfig, z):
+    """Net mismatch phase Theta(z) = int_0^z kappa accumulated from the input.
 
-    cfg: SourceConfig
-
-    def kappa(self, z):
-        g, m = self.cfg.geometry, self.cfg.mismatch
-        dw = g.width_at(z) - g.mean_width
-        return m.c_kappa_w * dw + m.c_kappa_h * g.height_offset
-
-    def delta_beta(self, field: str, z):
-        """Per-field detuning; the weighted split reproduces kappa exactly."""
-        w = self.cfg.mismatch.distribution.get(field, 0.0)
-        return w * self.kappa(z)
-
-
-def kappa_profile(cfg: SourceConfig) -> KappaProfile:
-    return KappaProfile(cfg)
-
-
-@dataclass(frozen=True)
-class ModeProfileGrid:
-    """Transverse mode profile sampled on a rectangular (x, y) grid."""
-
-    x: np.ndarray        # 1D, m
-    y: np.ndarray        # 1D, m
-    values: np.ndarray   # 2D (len(y), len(x)), arbitrary scale
-
-    def __post_init__(self):
-        if self.values.shape != (self.y.size, self.x.size):
-            raise ValueError("profile shape does not match the axes")
-
-
-def _quad2d(field, x, y):
-    return np.trapezoid(np.trapezoid(field, x, axis=1), y)
-
-
-def effective_area_and_gamma(profiles, n2: float, omega: float, core_mask=None):
-    """Nonlinear effective area of a four-field overlap and the resulting gamma.
-
-    profiles: sequence of four ModeProfileGrid on one common grid, ordered as
-    (i, j, k, l); the k and l profiles enter conjugated.  core_mask restricts
-    the overlap integral to the waveguide core (None means everywhere).
-    Returns (area in m^2, gamma in 1/(m W)); an orthogonal overlap yields
-    (inf, 0.0).
+    kappa(z) = c_kappa_w * (w(z) - mean_width) + c_kappa_h * height_offset is
+    linear in z along the linear taper, so the midpoint rule is exact:
+    Theta(z) = z * kappa(z / 2).
     """
-    if len(profiles) != 4:
-        raise ValueError("need exactly four mode profiles")
-    x, y = profiles[0].x, profiles[0].y
-    for p in profiles[1:]:
-        if not (np.array_equal(p.x, x) and np.array_equal(p.y, y)):
-            raise ValueError("mode profiles must share one (x, y) grid")
-
-    normed = []
-    for p in profiles:
-        norm = _quad2d(np.abs(p.values) ** 2, x, y)
-        if norm <= 0:
-            raise ValueError("mode profile with zero power")
-        normed.append(p.values / np.sqrt(norm))
-
-    overlap = normed[0] * normed[1] * np.conj(normed[2]) * np.conj(normed[3])
-    if core_mask is not None:
-        overlap = np.where(core_mask, overlap, 0.0)
-    denom = _quad2d(overlap, x, y)
-
-    scale = np.abs(denom)
-    if scale < 1e-30:
-        return float("inf"), 0.0
-    area = 1.0 / scale
-    gamma = omega * n2 / (CONSTANTS.c * area)
-    return area, gamma
+    g, m = cfg.geometry, cfg.mismatch
+    z = np.asarray(z, dtype=float)
+    kappa_half = m.c_kappa_w * (g.width_at(0.5 * z) - g.mean_width) + m.c_kappa_h * g.height_offset
+    return z * kappa_half

@@ -2,6 +2,9 @@
 
 Both pump envelopes are tracked in the frame moving with pump 1, on the
 dimensionless time axis of the shared grid.  Envelope units are sqrt(W).
+The envelopes carry no mismatch phase: the geometry enters the model only
+as the source phase (see mismatch.mismatch_phase), so the pump trace does
+not depend on the taper or the fabrication offsets.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Grid, SourceConfig, derive_run_params
-from .mismatch import kappa_profile
 from .spectral import omega_axis
 
 
@@ -24,8 +26,6 @@ class PumpEnvelopes:
     a_p1: np.ndarray
     a_p2: np.ndarray
     z: float = 0.0
-    accumulated_taper_phase_p1: float = 0.0
-    accumulated_taper_phase_p2: float = 0.0
 
 
 @dataclass
@@ -70,21 +70,17 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
     hold physical envelopes; the trace exposes both.  Both pumps are stepped
     together as one (2, n_t) array, with three transforms per sub-step, and
     the SPM/XPM phases are one 2x2 gamma matrix acting on (|a1|^2, |a2|^2).
-    The taper phase of every linear half is precomputed from one vectorized
-    kappa evaluation.
     """
     grid = cfg.grid()
     if env0 is None:
         env0 = initial_envelopes(cfg, grid)
     d, num = cfg.dispersion, cfg.numerics
     rp = derive_run_params(cfg)
-    kp = kappa_profile(cfg)
 
     n_z = num.n_z
     L = cfg.geometry.length
     h = L / n_z
     hs = h / 2.0  # internal sub-step
-    n_sub = 2 * n_z
 
     w = omega_axis(num.n_t, grid.dt)
     disp = 1.0 if num.dispersion_enabled else 0.0
@@ -97,34 +93,21 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
     gamma = hs * np.array([[d.gamma_1111, 2.0 * d.gamma_1122],
                            [2.0 * d.gamma_2211, d.gamma_2222]])
 
-    # taper phase over each linear half of every sub-step, midpoint rule;
-    # the cumulative sum reproduces z accumulated one sub-step at a time
-    dist = cfg.mismatch.distribution
-    w_p = np.array([dist.get("p1", 0.0), dist.get("p2", 0.0)])
-    z_start = np.cumsum(np.concatenate([[0.0], np.full(n_sub - 1, hs)]))
-
-    def taper_phase(z):
-        return np.exp(1j * np.multiply.outer(kp.kappa(z), w_p) * (hs / 2.0))[:, :, None]
-
-    ph_a, ph_b = taper_phase(z_start + hs / 4.0), taper_phase(z_start + 3.0 * hs / 4.0)
-
     a = np.array([env0.a_p1, env0.a_p2], dtype=complex)
     nodes = np.empty((2, n_z + 1, num.n_t), complex)
     mids = np.empty((2, n_z, num.n_t), complex)
     nodes[:, 0] = a
 
-    # the taper phases are one scalar per pump and commute with the
-    # transforms, so the spectrum of a sub-step's end is carried into the
-    # next sub-step instead of transforming the stored envelope back
+    # the spectrum of a sub-step's end is carried into the next sub-step
+    # instead of transforming the stored envelope back
     fft, ifft = np.fft.fft, np.fft.ifft
     spec = ifft(a)
-    for k in range(n_sub):
-        a = fft(half * spec) * ph_a[k]
+    for k in range(2 * n_z):
+        a = fft(half * spec)
         if nl_on:
             a *= np.exp(1j * (gamma @ (np.abs(a) ** 2)))
         spec = half * ifft(a)
-        a = fft(spec) * ph_b[k]
-        spec *= ph_b[k]
+        a = fft(spec)
 
         if k % 2 == 0:
             mids[:, k // 2] = a

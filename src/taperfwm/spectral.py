@@ -16,27 +16,6 @@ def omega_axis(n: int, dt: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
 
 
-def analyze(phi, axis=-1):
-    return np.fft.ifft(phi, axis=axis)
-
-
-def synthesize(spec, axis=-1):
-    return np.fft.fft(spec, axis=axis)
-
-
-def apply_multiplier_1d(phi, mult):
-    """Apply a frequency-domain multiplier to a time-domain 1D field."""
-    return np.fft.fft(mult * np.fft.ifft(phi))
-
-
-def analyze2(phi):
-    return np.fft.ifft2(phi)
-
-
-def synthesize2(spec):
-    return np.fft.fft2(spec)
-
-
 def shift_multiplier(omega, a):
     """Multiplier realizing phi(T) -> phi(T + a)."""
     return np.exp(-1j * omega * a)

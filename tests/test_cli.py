@@ -141,13 +141,19 @@ def test_oracle_erf_fit(cfg_path, tmp_path):
 
 def test_convergence(cfg_path, tmp_path, capsys):
     out = tmp_path / "conv"
-    rc = main(["convergence", "-c", str(cfg_path), "-o", str(out), "--doublings", "1"])
+    rc = main(["convergence", "-c", str(cfg_path), "-o", str(out), "--doublings", "2"])
     assert rc == 0
     rows = _read_csv(out / "convergence.csv")
-    assert [int(r["n_z"]) for r in rows] == [100, 200]
-    rel = abs(float(rows[1]["xi"]) - float(rows[0]["xi"])) / float(rows[1]["xi"])
+    assert [int(r["n_z"]) for r in rows] == [100, 200, 400]
+    rel = abs(float(rows[2]["xi"]) - float(rows[1]["xi"])) / float(rows[2]["xi"])
     assert rel < 1e-3
-    assert "changed xi by" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "changed xi by" in printed
+    # the observed order log2(d[k-1] / d[k]) of each metric's changes
+    for name in ("xi", "purity", "dlam_s"):
+        (line,) = [ln for ln in printed.splitlines() if ln.startswith(f"observed order in n_z, {name}:")]
+        d = [abs(float(rows[k + 1][name]) - float(rows[k][name])) for k in range(2)]
+        assert float(line.split()[-1]) == pytest.approx(np.log2(d[0] / d[1]), abs=0.006)
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -196,3 +202,22 @@ def test_sweep_time_window_error_is_a_row(tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert [r["status"] for r in rows] == ["ok", "error"]
     assert "t_window too small" in rows[-1]["error"]
+
+
+@pytest.mark.parametrize("doublings", ["0", "-1"])
+def test_convergence_needs_a_doubling(cfg_path, tmp_path, monkeypatch, doublings):
+    def no_run(*args, **kwargs):
+        raise AssertionError("no source may run")
+
+    monkeypatch.setattr("taperfwm.cli.run_source", no_run)
+    out = tmp_path / "conv"
+    assert main(["convergence", "-c", str(cfg_path), "-o", str(out),
+                 "--doublings", doublings]) == 2
+    assert not out.exists()
+
+
+def test_mismatch_distribution_is_not_a_config_key(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"numerics": FAST, "mismatch": {
+        "distribution": {"p1": 0.5, "p2": 0.5, "s": 0.0, "i": 0.0}}}))
+    assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 2

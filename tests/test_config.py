@@ -15,7 +15,7 @@ from taperfwm import (
     validate_config,
 )
 from taperfwm.config import ConfigError, dbcm_to_per_m, per_m_to_dbcm, tau_max_of
-from taperfwm.mismatch import calibrate_mismatch, kappa_profile
+from taperfwm.mismatch import calibrate_mismatch, mismatch_phase
 
 C = 299792458.0
 
@@ -103,6 +103,14 @@ def test_window_must_contain_idler_drift():
     assert any("t_window" in e for e in rep.errors)
 
 
+def test_idler_walks_at_most_one_cell_per_z_step():
+    # at n_t = 512 a z-step of L / 180 walks the Idler 1.03 time cells
+    rep = validate_config(table1_config(numerics={"n_t": 512, "n_z": 180}))
+    assert not rep.ok
+    assert any("n_z" in e and "n_z >= 185" in e for e in rep.errors)
+    assert validate_config(table1_config(numerics={"n_t": 512, "n_z": 200})).ok
+
+
 def test_calibration_zero_and_linear():
     disp = table1_config().dispersion
     assert calibrate_mismatch(0.0, 1.0, disp).c_kappa_w == 0.0
@@ -124,33 +132,42 @@ def test_calibration_magnitude():
     assert 1e3 < per_um < 1e4
 
 
+def _kappa(cfg, z):
+    g, m = cfg.geometry, cfg.mismatch
+    return m.c_kappa_w * (g.width_at(z) - g.mean_width) + m.c_kappa_h * g.height_offset
+
+
+TAPERED = {"taper_amplitude": 0.25e-6, "width_offset": 60e-9, "height_offset": 4.3e-9}
+
+
 def test_kappa_profile_reference_zero():
-    kp = kappa_profile(table1_config())
-    z = np.linspace(0, 1.5e-2, 7)
-    assert np.allclose(kp.kappa(z), 0.0)
+    cfg = table1_config()
+    z = np.linspace(0, cfg.geometry.length, 7)
+    assert np.all(mismatch_phase(cfg, z) == 0.0)
 
 
 def test_kappa_profile_linear_taper():
+    # dTheta/dz = kappa; Theta is quadratic, so the central difference is exact
     cfg = table1_config(geometry={"taper_amplitude": 0.25e-6, "height_offset": 4.3e-9})
-    kp = kappa_profile(cfg)
     L = cfg.geometry.length
-    mid = kp.kappa(0.5 * L)
-    assert mid == pytest.approx(cfg.mismatch.c_kappa_h * 4.3e-9, rel=1e-12)
-    # linearity
-    z = np.linspace(0, L, 5)
-    k = kp.kappa(z)
-    assert np.allclose(np.diff(k, 2), 0.0, atol=1e-9 * max(1.0, abs(k).max()))
+    z = np.linspace(0.1, 0.9, 9) * L
+    dz = 1e-3 * L
+    slope = (mismatch_phase(cfg, z + dz) - mismatch_phase(cfg, z - dz)) / (2.0 * dz)
+    kappa = _kappa(cfg, z)
+    assert np.allclose(slope, kappa, rtol=0.0, atol=1e-9 * np.abs(kappa).max())
+    assert _kappa(cfg, 0.5 * L) == pytest.approx(cfg.mismatch.c_kappa_h * 4.3e-9, rel=1e-12)
 
 
-def test_delta_beta_distribution_sums_to_kappa():
-    cfg = table1_config(
-        geometry={"taper_amplitude": 0.1e-6},
-        mismatch={"distribution": {"p1": 1.5, "p2": 0.0, "s": 0.25, "i": 0.25}},
-    )
-    kp = kappa_profile(cfg)
-    z = np.linspace(0, cfg.geometry.length, 9)
-    net = kp.delta_beta("p1", z) + kp.delta_beta("p2", z) - kp.delta_beta("s", z) - kp.delta_beta("i", z)
-    assert np.allclose(net, kp.kappa(z), rtol=1e-12)
+def test_mismatch_phase_matches_midpoint_sum():
+    cfg = table1_config(geometry=TAPERED)
+    L = cfg.geometry.length
+    n = 20000
+    h = L / n
+    partial = np.cumsum(_kappa(cfg, (np.arange(n) + 0.5) * h)) * h
+    nodes = np.arange(1, n + 1) * h
+    theta = mismatch_phase(cfg, nodes)
+    assert np.max(np.abs(theta - partial)) <= 1e-11 * np.abs(theta).max()
+    assert mismatch_phase(cfg, 0.0) == 0.0
 
 
 def test_load_config_defaults_expansion(tmp_path):

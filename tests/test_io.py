@@ -1,4 +1,4 @@
-"""Binary/CSV matrix formats, metrics serialization, manifest."""
+"""Binary matrix format, metrics serialization, manifest."""
 
 import json
 
@@ -56,21 +56,6 @@ def test_cjm1_truncated(phi, tmp_path):
     p.write_bytes(data[:-8])
     with pytest.raises(io.FormatError, match="size"):
         io.read_cjm1(p)
-
-
-def test_csv_round_trip(phi, tmp_path):
-    p = io.write_matrix_csv(phi, tmp_path / "m.csv")
-    back = io.read_matrix_csv(p)
-    assert back.shape == phi.values.shape
-    scale = np.abs(phi.values).max()
-    assert np.max(np.abs(back - phi.values)) <= 1e-15 * scale
-
-
-def test_export_matrix_dispatch(phi, tmp_path):
-    assert io.export_matrix(phi, tmp_path / "a.cjm1", "cjm1").exists()
-    assert io.export_matrix(phi, tmp_path / "a.csv", "csv").exists()
-    with pytest.raises(ValueError):
-        io.export_matrix(phi, tmp_path / "a.x", "xml")
 
 
 def test_metrics_json_deterministic(fast_run, tmp_path):

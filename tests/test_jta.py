@@ -5,10 +5,11 @@ import pytest
 
 from taperfwm import jta, run_source, table1_config
 from taperfwm.config import derive_run_params
-from taperfwm.jta import _axis_exponents, evolve_jta, perturbative_oracle, source_term
+from taperfwm.jta import evolve_jta, perturbative_oracle, source_term
 from taperfwm.metrics import jta_to_jsa
-from taperfwm.mismatch import kappa_profile
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
+
+from _reference import global_phase, reference_jta
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -37,8 +38,8 @@ def test_source_diagonal_vs_spectral():
     cfg = table1_config(numerics={"n_t": 128, "n_z": 100}, pump={"tau": 1.0e-12})
     env = initial_envelopes(cfg)
     g = cfg.grid()
-    d = source_term(env, g, 1.34, theta_si=0.37)
-    s = source_term(env, g, 1.34, theta_si=0.37, form="spectral")
+    d = source_term(env, g, 1.34, theta=0.37)
+    s = source_term(env, g, 1.34, theta=0.37, form="spectral")
     assert np.max(np.abs(d - s)) <= 1e-10 * np.max(np.abs(d))
 
 
@@ -132,51 +133,24 @@ def test_nz_convergence():
 
 
 def test_redistribution_invariance():
-    kw = dict(numerics={"n_t": 64, "n_z": 200}, geometry={"taper_amplitude": 0.1e-6})
-    cfg_a = table1_config(**kw)
-    cfg_b = cfg_a.replace(mismatch={"distribution": {"p1": 0.2, "p2": 0.3, "s": -0.2, "i": -0.3}})
-    phi_a = run_source(cfg_a).result.jta
-    phi_b = run_source(cfg_b).result.jta
-    scale = np.abs(phi_a.values).max()
-    assert np.max(np.abs(np.abs(phi_a.values) - np.abs(phi_b.values))) <= 1e-8 * scale
-
-
-def _reference_evolve(cfg, trace):
-    """Per-step split step with both half-steps applied on every step and
-    the XPM phase exponentiated on the full n x n grid."""
-    d, grid = cfg.dispersion, trace.grid
-    n, n_z, dt = grid.n, trace.n_z, grid.dt
-    h = cfg.geometry.length / n_z
-    ls, li = _axis_exponents(cfg, grid)
-    half_mult = np.exp(0.5 * h * ls)[:, None] * np.exp(0.5 * h * li)[None, :]
-    dist = cfg.mismatch.distribution
-    kap_mid = kappa_profile(cfg).kappa(trace.z_mid)
-    theta_mid = (dist["s"] + dist["i"]) * (np.cumsum(kap_mid) - 0.5 * kap_mid) * h
-    theta_end = (dist["s"] + dist["i"]) * np.sum(kap_mid) * h
-    idx = np.arange(n)
-    spec = np.zeros((n, n), complex)
-    xi = [0.0]
-    for k in range(n_z):
-        phi = np.fft.fft2(spec * half_mult)
-        a1, a2 = trace.a_p1_mid[k], trace.a_p2_mid[k]
-        if cfg.numerics.xpm_spm_enabled:
-            ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
-            ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-            phi = phi * np.exp(1j * h * (ns[:, None] + ni[None, :]))
-        phi[idx, idx] += h * 2j * np.pi * d.gamma_p1p2si * a1 * a2 * np.exp(-1j * theta_mid[k]) / dt
-        spec = np.fft.ifft2(phi) * half_mult
-        xi.append(float(np.sum(np.abs(spec) ** 2)) * n * n * dt * dt)
-    return np.fft.fft2(spec) * np.exp(1j * theta_end), np.array(xi)
+    # any split of the mismatch among the four fields gives the stepper's
+    # amplitude, up to a global phase
+    cfg = table1_config(numerics={"n_t": 64, "n_z": 200}, geometry={"taper_amplitude": 0.1e-6})
+    phi = run_source(cfg).result.jta.values
+    scale = np.abs(phi).max()
+    for weights in ((0.5, 0.5, 0.0, 0.0), (0.2, 0.3, -0.2, -0.3), (1.5, 0.0, 0.25, 0.25)):
+        ref, _ = reference_jta(cfg, weights)
+        assert np.max(np.abs(phi - ref * global_phase(cfg, weights))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("taper", [0.0, 0.1e-6])
 @pytest.mark.parametrize("xpm", [True, False])
 def test_fused_stepper_matches_reference(taper, xpm):
-    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper},
-               mismatch={"distribution": {"p1": 0.2, "p2": 0.3, "s": -0.2, "i": -0.3}})
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
-    res = evolve_jta(cfg, trace)
-    ref_jta, ref_xi = _reference_evolve(cfg, trace)
+    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper})
+    weights = (0.2, 0.3, -0.2, -0.3)
+    res = evolve_jta(cfg, propagate_pumps(cfg, initial_envelopes(cfg)))
+    ref_jta, ref_xi = reference_jta(cfg, weights)
+    ref_jta = ref_jta * global_phase(cfg, weights)
     assert np.max(np.abs(res.jta.values - ref_jta)) <= 1e-12 * np.max(np.abs(ref_jta))
     assert np.max(np.abs(res.xi_profile.xi - ref_xi)) <= 1e-12 * ref_xi.max()
 

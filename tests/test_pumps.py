@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from taperfwm import table1_config
-from taperfwm.config import dbcm_to_per_m, derive_run_params, tau_max_of
-from taperfwm.mismatch import kappa_profile
+from taperfwm.config import derive_run_params, tau_max_of
+from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, analytic_pumps, initial_envelopes, propagate_pumps
 from taperfwm.spectral import omega_axis
+
+from _reference import reference_pumps
 
 FAST = {"n_t": 256, "n_z": 200}
 
@@ -158,45 +160,32 @@ def test_analytic_pumps_collision_gaussian():
     assert np.sqrt(var) == pytest.approx(sigma_expected, rel=0.05)
 
 
-def _reference_pumps(cfg):
-    """Each pump stepped on its own, with scalar taper-phase quadrature
-    and the SPM/XPM phases written out per pump."""
-    d, num, g = cfg.dispersion, cfg.numerics, cfg.grid()
-    rp = derive_run_params(cfg)
-    kp = kappa_profile(cfg)
-    hs = cfg.geometry.length / num.n_z / 2.0
-    w = omega_axis(num.n_t, g.dt)
-    half1 = np.exp((-0.5 * rp.alpha_m["p1"] + 0.5j * w**2 / d.l_d_p1) * hs / 2.0)
-    half2 = np.exp((-0.5 * rp.alpha_m["p2"] + 0.5j * w**2 / d.l_d_p2 + 1j * w / d.l_w_p) * hs / 2.0)
-    w1, w2 = cfg.mismatch.distribution["p1"], cfg.mismatch.distribution["p2"]
-    env = initial_envelopes(cfg)
-    a1, a2 = env.a_p1.astype(complex), env.a_p2.astype(complex)
-    out1, out2 = [a1], [a2]
-    z = 0.0
-    for _ in range(2 * num.n_z):
-        ka, kb = kp.kappa(z + hs / 4.0), kp.kappa(z + 3.0 * hs / 4.0)
-        a1 = np.fft.fft(half1 * np.fft.ifft(a1)) * np.exp(1j * w1 * ka * hs / 2.0)
-        a2 = np.fft.fft(half2 * np.fft.ifft(a2)) * np.exp(1j * w2 * ka * hs / 2.0)
-        p1, p2 = np.abs(a1) ** 2, np.abs(a2) ** 2
-        a1 = a1 * np.exp(1j * hs * (d.gamma_1111 * p1 + 2.0 * d.gamma_1122 * p2))
-        a2 = a2 * np.exp(1j * hs * (d.gamma_2222 * p2 + 2.0 * d.gamma_2211 * p1))
-        a1 = np.fft.fft(half1 * np.fft.ifft(a1)) * np.exp(1j * w1 * kb * hs / 2.0)
-        a2 = np.fft.fft(half2 * np.fft.ifft(a2)) * np.exp(1j * w2 * kb * hs / 2.0)
-        z += hs
-        out1.append(a1)
-        out2.append(a2)
-    return np.array(out1), np.array(out2)
-
-
 def test_stacked_stepper_matches_per_pump_reference():
-    cfg = _cfg(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.25e-6},
-               mismatch={"distribution": {"p1": 0.2, "p2": 0.3, "s": -0.2, "i": -0.3}})
+    # the reference pumps carry their share w_p * Theta(z) of the mismatch
+    # phase; the production trace carries none
+    cfg = _cfg(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.25e-6})
+    weights = (0.2, 0.3, -0.2, -0.3)
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
-    ref1, ref2 = _reference_pumps(cfg)
+    ref1, ref2 = reference_pumps(cfg, weights)
+    th_nodes = mismatch_phase(cfg, trace.z_nodes)[:, None]
+    th_mid = mismatch_phase(cfg, trace.z_mid)[:, None]
     # the reference holds every sub-step: even rows are nodes, odd rows midpoints
-    for got, ref in ((trace.a_p1, ref1[::2]), (trace.a_p2, ref2[::2]),
-                     (trace.a_p1_mid, ref1[1::2]), (trace.a_p2_mid, ref2[1::2])):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for got, theta, w, ref in ((trace.a_p1, th_nodes, weights[0], ref1[::2]),
+                               (trace.a_p2, th_nodes, weights[1], ref2[::2]),
+                               (trace.a_p1_mid, th_mid, weights[0], ref1[1::2]),
+                               (trace.a_p2_mid, th_mid, weights[1], ref2[1::2])):
+        assert np.max(np.abs(got * np.exp(1j * w * theta) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pump_trace_is_geometry_free():
+    # the geometry enters only as the source phase, never the pumps
+    cfg = _cfg(numerics={"n_t": 128, "n_z": 100})
+    ref = propagate_pumps(cfg)
+    for geometry in ({"taper_amplitude": 0.25e-6}, {"width_offset": 60e-9},
+                     {"height_offset": 4.3e-9}):
+        trace = propagate_pumps(cfg.replace(geometry=geometry))
+        for name in ("a_p1", "a_p2", "a_p1_mid", "a_p2_mid"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), (geometry, name)
 
 
 def test_nan_envelope_raises_at_first_step():
