@@ -14,6 +14,7 @@ from .config import (
     PhysicalConstants,
     RunParams,
     ValidationReport,
+    ConfigWarning,
     table1_config,
     validate_config,
     derive_run_params,

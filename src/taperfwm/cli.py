@@ -7,8 +7,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -20,7 +20,7 @@ from .interference import SourceCache, evaluate_pair, optimize_delays
 from .jta import JointAmplitude, snapshot_nodes
 from .metrics import jta_to_jsa, spectral_cumulative
 from .pumps import PropagationError
-from .simulate import ValidationFailure, run_source
+from .simulate import ValidationFailure, run_source, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,7 +91,7 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = np.linspace(args.start, args.stop, args.steps)
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = min(args.jobs or worker_count(), len(values))
     payloads = [(k, cfg, args.param, float(v)) for k, v in enumerate(values)]
     writer = io.ArtifactWriter("sweep", args.output, [cfg])
     if jobs > 1:
@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--from", dest="start", type=float, required=True)
     sw.add_argument("--to", dest="stop", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)
-    sw.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
+    sw.add_argument("--jobs", type=int, default=0,
+                    help="worker processes, at most one per point (default: one per usable CPU)")
     sw.set_defaults(func=cmd_sweep)
 
     pr = sub.add_parser("pair", help="two-source interference study")
@@ -249,16 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ValidationFailure, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PropagationError, FloatingPointError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        # configuration warnings read as one line each, like the errors
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ConfigError, ValidationFailure, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (PropagationError, FloatingPointError, ValueError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

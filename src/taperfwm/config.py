@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,10 @@ class NumericsSpec:
     n_z: int = 2000
     xpm_spm_enabled: bool = True
     dispersion_enabled: bool = True
+
+    def __post_init__(self):
+        # a tuple, also when given as a JSON list, so that the spec hashes
+        object.__setattr__(self, "t_window", tuple(self.t_window))
 
 
 @dataclass(frozen=True)
@@ -380,6 +385,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ConfigWarning(UserWarning):
+    """A configuration that validates but holds a questionable value."""
+
+
 def config_from_dict(doc: dict) -> SourceConfig:
     """Build a SourceConfig from a JSON-style dict; unknown keys are fatal."""
     doc = dict(doc)
@@ -406,9 +415,6 @@ def config_from_dict(doc: dict) -> SourceConfig:
         bad = set(sub) - known
         if bad:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
-        sub = dict(sub)
-        if name == "numerics" and "t_window" in sub:
-            sub["t_window"] = tuple(sub["t_window"])
         sections[name] = sub
     return base.replace(**sections)
 
@@ -425,7 +431,8 @@ def config_to_dict(cfg: SourceConfig) -> dict:
 
 
 def load_config(path) -> SourceConfig:
-    """Parse, expand defaults and validate a JSON configuration file."""
+    """Parse, expand defaults and validate a JSON configuration file; each
+    validation warning is emitted as a ConfigWarning."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -435,4 +442,6 @@ def load_config(path) -> SourceConfig:
     rep = validate_config(cfg)
     if not rep.ok:
         raise ConfigError(f"{path}: " + "; ".join(rep.errors))
+    for msg in rep.warnings:
+        warnings.warn(f"{path}: {msg}", ConfigWarning, stacklevel=2)
     return cfg

@@ -3,7 +3,6 @@ pump-delay optimizer."""
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -14,7 +13,8 @@ from .config import SourceConfig, derive_run_params
 from .jta import JointAmplitude
 from .metrics import arrival_times
 from .spectral import omega_axis, shift_multiplier
-from .simulate import run_source
+from .pumps import trace_key
+from .simulate import run_source, worker_count
 
 
 @dataclass
@@ -164,53 +164,69 @@ class SourceCache:
 
     def jta(self, tau: float) -> JointAmplitude:
         """The JTA at tau; a miss is simulated in this process."""
-        _fill(None, [(self, tau)])
+        _fill(_Workers(), [(self, tau)])
         return self._runs[float(tau)]
 
 
-def _source_jta(cfg: SourceConfig) -> JointAmplitude:
-    """One source run, reduced to the JTA that the visibilities need."""
-    return run_source(cfg).result.jta
+def _source_jtas(cfgs) -> list:
+    """The JTAs of configurations with one pumps.trace_key: the first run
+    propagates the pumps and the others reuse its trace."""
+    first = run_source(cfgs[0], keep_pump_trace=len(cfgs) > 1)
+    rest = [run_source(cfg, pump_trace=first.pump_trace) for cfg in cfgs[1:]]
+    return [out.result.jta for out in (first, *rest)]
 
 
-def _worker_count() -> int:
-    """Worker processes for source runs: one per CPU this process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+@dataclass
+class _Workers:
+    """Where the source runs of one call go: a pool of `jobs` worker
+    processes, or this process when there is no pool."""
+    jobs: int = 1
+    pool: ProcessPoolExecutor | None = None
+
+    def map(self, fn, items):
+        return map(fn, items) if self.pool is None else self.pool.map(fn, items)
 
 
 @contextmanager
 def _source_pool(batch: int):
-    """A process pool for the source runs of one call, with no more workers
-    than its largest batch of runs, or None (runs stay in this process) when
-    only one CPU is available.  The workers are joined when the block ends,
+    """The workers for the source runs of one call: a process pool with no
+    more workers than its largest batch of runs, or this process alone when
+    only one CPU is available.  The pool is joined when the block ends,
     also when it raises."""
-    jobs = min(_worker_count(), batch)
+    jobs = min(worker_count(), batch)
     if jobs < 2:
-        yield None
+        yield _Workers()
         return
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        yield pool
+        yield _Workers(jobs, pool)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _fill(pool, requests):
+def _fill(workers: _Workers, requests):
     """Simulate every (cache, tau) of requests that is not cached yet, as
-    one batch in the pool when there is one."""
+    one batch.
+
+    Runs with one pumps.trace_key form one task, which propagates the pumps
+    once.  A batch with fewer such groups than workers runs every source as
+    a task of its own instead, so that no worker idles: the raw pair's two
+    runs, at one tau, stay parallel."""
     todo = {}
     for cache, tau in requests:
         key = float(tau)
         if key not in cache._runs:
-            todo[id(cache), key] = (cache, key)
-    if not todo:
-        return
-    cfgs = [cache.cfg.replace(pump={"tau": key}) for cache, key in todo.values()]
-    jtas = map(_source_jta, cfgs) if pool is None else pool.map(_source_jta, cfgs)
-    for (cache, key), jta in zip(todo.values(), jtas):
-        cache._runs[key] = jta
+            todo[id(cache), key] = (cache, key, cache.cfg.replace(pump={"tau": key}))
+    groups = {}
+    for cache, key, cfg in todo.values():
+        groups.setdefault(trace_key(cfg), []).append((cache, key, cfg))
+    tasks = list(groups.values())
+    if len(tasks) < workers.jobs:
+        tasks = [[run] for run in todo.values()]
+    jtas = workers.map(_source_jtas, [[cfg for _, _, cfg in task] for task in tasks])
+    for task, task_jtas in zip(tasks, jtas):
+        for (cache, key, _), jta in zip(task, task_jtas):
+            cache._runs[key] = jta
 
 
 def _source_caches(cfg1, cfg2, sources):
@@ -247,13 +263,17 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
     optimize_delays reuse the two runs."""
     t0 = cfg1.pump.t0_fwhm
     src1, src2 = _source_caches(cfg1, cfg2, sources)
-    with _source_pool(2) as pool:
-        _fill(pool, [(src1, cfg1.pump.tau), (src2, cfg2.pump.tau)])
+    with _source_pool(2) as workers:
+        _fill(workers, [(src1, cfg1.pump.tau), (src2, cfg2.pump.tau)])
     phi1 = src1.jta(cfg1.pump.tau)
     phi2 = src2.jta(cfg2.pump.tau)
     vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
     return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s,
                      shift_s=ds, shift_i=di, v_rhom=vis["rhom"], v_hhom=vis["hhom"])
+
+
+# the compass search refines the delays to tau_max / _RESOLUTION
+_RESOLUTION = 200
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
@@ -262,34 +282,46 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     """Search (tau1, tau2) maximizing the chosen visibility.
 
     Coarse grid over [0, tau_max]^2, then compass pattern search refined to
-    tau_max/200; ties break toward the symmetric midpoint delay.  sources
-    (one SourceCache per configuration) reuses runs made earlier, for
-    instance by evaluate_pair.
+    tau_max/200; ties break toward the symmetric midpoint delay.  Every
+    delay is a point tau_max * i/n of one lattice, so that a point reached
+    twice is the same float and is simulated once.  sources (one
+    SourceCache per configuration) reuses runs made earlier, for instance
+    by evaluate_pair.
     """
     if objective not in ("rhom", "hhom"):
         raise ValueError("objective must be 'rhom' or 'hhom'")
+    if coarse_points < 2:
+        raise ValueError("coarse_points must be >= 2")
     t0 = cfg1.pump.t0_fwhm
     tau_max = derive_run_params(cfg1).tau_max
     src1, src2 = _source_caches(cfg1, cfg2, sources)
-    center = np.array([tau_max / 2.0, tau_max / 2.0])
+    # the first compass step, s0 cells, is half the coarse spacing; it
+    # halves down to one cell, the smallest step not below the resolution.
+    # n is even, and the lattice point n/2 is exactly tau_max/2
+    s0 = 1
+    while 4 * (coarse_points - 1) * s0 <= _RESOLUTION:
+        s0 *= 2
+    n = 2 * (coarse_points - 1) * s0
+    mid = n // 2
     candidates = []
     obj_cache = {}
 
-    def measure(tau1, tau2):
-        key = (float(tau1), float(tau2))
-        if key not in obj_cache:
-            _fill(pool, [(src1, tau1), (src2, tau2)])
-            phi1 = src1.jta(tau1)
-            phi2 = src2.jta(tau2)
+    def tau(i):
+        return tau_max * (i / n)
+
+    def measure(i, j):
+        if (i, j) not in obj_cache:
+            phi1 = src1.jta(tau(i))
+            phi2 = src2.jta(tau(j))
             try:
                 v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,))[0][objective]
             except ValueError:
                 # alignment shift would wrap around the window: the
                 # candidate is outside the usable delay range
                 v = -np.inf
-            obj_cache[key] = v
-            candidates.append((float(tau1), float(tau2), v))
-        return obj_cache[key]
+            obj_cache[i, j] = v
+            candidates.append((tau(i), tau(j), v))
+        return obj_cache[i, j]
 
     def better(a, va, b, vb):
         """True when (a, va) beats (b, vb); ties prefer the midpoint."""
@@ -297,35 +329,35 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
             return True
         if va < vb - 1e-12:
             return False
-        return np.linalg.norm(np.asarray(a) - center) < np.linalg.norm(np.asarray(b) - center) - 1e-18
+        return (a[0] - mid) ** 2 + (a[1] - mid) ** 2 < (b[0] - mid) ** 2 + (b[1] - mid) ** 2
 
-    def clip(tau):
-        return min(max(tau, 0.0), tau_max)
+    def clip(i):
+        return min(max(i, 0), n)
 
-    # every source run goes to the pool in batches: the start point and the
-    # coarse grid of both sources, then the two runs each compass round
-    # always measures (source 1 at best + step, source 2 at best + step);
-    # measure sends any other miss on its own
-    taus = np.linspace(0.0, tau_max, coarse_points)
-    best = (tau_max / 2.0, tau_max / 2.0)
-    coarse = [(src1, best[0]), (src2, best[1])] + [(src, t) for src in (src1, src2) for t in taus]
-    with _source_pool(len(coarse)) as pool:
-        _fill(pool, coarse)
+    # every source run goes to the workers in batches: the start point and
+    # the coarse grid of both sources, then each compass round's neighbours.
+    # A round's candidates need source 1 only at b1 +- step and source 2
+    # only at b2 +- step, with (b1, b2) the best point at the round's start
+    coarse = range(0, n + 1, 2 * s0)
+    best = (mid, mid)
+    batch = [(src1, tau(mid)), (src2, tau(mid))] + [(src, tau(i)) for src in (src1, src2)
+                                                    for i in coarse]
+    with _source_pool(len(batch)) as workers:
+        _fill(workers, batch)
         best_v = measure(*best)
-        for t1 in taus:
-            for t2 in taus:
-                v = measure(t1, t2)
-                if better((t1, t2), v, best, best_v):
-                    best, best_v = (float(t1), float(t2)), v
+        for i in coarse:
+            for j in coarse:
+                v = measure(i, j)
+                if better((i, j), v, best, best_v):
+                    best, best_v = (i, j), v
 
-        step = tau_max / (coarse_points - 1) / 2.0
-        tol = tau_max / 200.0
-        while step >= tol:
-            _fill(pool, [(src, clip(b + step)) for src, b in zip((src1, src2), best)
-                         if clip(b + step) != b])
+        step = s0
+        while _RESOLUTION * step >= n:
+            _fill(workers, [(src, tau(clip(b + d))) for src, b in zip((src1, src2), best)
+                            for d in (step, -step)])
             moved = False
-            for delta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = (clip(best[0] + delta[0]), clip(best[1] + delta[1]))
+            for di, dj in ((step, 0), (-step, 0), (0, step), (0, -step)):
+                cand = (clip(best[0] + di), clip(best[1] + dj))
                 if cand == best:
                     continue
                 v = measure(*cand)
@@ -333,21 +365,22 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
                     best, best_v = cand, v
                     moved = True
             if not moved:
-                step /= 2.0
+                step //= 2
 
-    phi1 = src1.jta(best[0])
-    phi2 = src2.jta(best[1])
+    tau1, tau2 = tau(best[0]), tau(best[1])
+    phi1 = src1.jta(tau1)
+    phi2 = src2.jta(tau2)
     vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
     return PairStudy(
-        cfg1=cfg1.replace(pump={"tau": best[0]}),
-        cfg2=cfg2.replace(pump={"tau": best[1]}),
+        cfg1=cfg1.replace(pump={"tau": tau1}),
+        cfg2=cfg2.replace(pump={"tau": tau2}),
         phi1=phi1,
         phi2=phi2s,
         shift_s=ds,
         shift_i=di,
         v_rhom=vis["rhom"],
         v_hhom=vis["hhom"],
-        optimal_tau1=best[0],
-        optimal_tau2=best[1],
+        optimal_tau1=tau1,
+        optimal_tau2=tau2,
         candidates=candidates,
     )

@@ -48,6 +48,13 @@ class PumpTrace:
         return PumpEnvelopes(self.a_p1[k].copy(), self.a_p2[k].copy(), z=float(self.z_nodes[k]))
 
 
+def trace_key(cfg: SourceConfig) -> tuple:
+    """The parts of a configuration that its pump trace depends on: the
+    pump (with tau), the dispersion set, the numerics and the length.
+    Configurations with equal keys have bitwise equal traces."""
+    return (cfg.pump, cfg.dispersion, cfg.numerics, cfg.geometry.length)
+
+
 def gaussian_envelope(t_axis, center, peak_power):
     """Gaussian with unit intensity FWHM on the dimensionless axis."""
     return np.sqrt(peak_power) * np.exp(-2.0 * np.log(2.0) * (t_axis - center) ** 2)

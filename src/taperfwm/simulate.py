@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,13 +35,27 @@ class RunOutput:
         return compute_metrics(self.result, self.cfg)
 
 
-def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int = 0) -> RunOutput:
+def worker_count() -> int:
+    """Worker processes for independent source runs: one per CPU this
+    process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int = 0,
+               pump_trace: PumpTrace | None = None) -> RunOutput:
     """Validate, propagate the pumps and evolve the JTA, storing `snapshots`
-    evenly spaced states; the metrics follow on first access."""
+    evenly spaced states; the metrics follow on first access.
+
+    pump_trace, the trace of a run whose pumps.trace_key equals this
+    configuration's, replaces the pump propagation: the trace depends on
+    nothing else, so the run is bitwise the same."""
     rep = validate_config(cfg)
     if not rep.ok:
         raise ValidationFailure(rep.errors)
-    env0 = initial_envelopes(cfg)
-    trace = propagate_pumps(cfg, env0)
+    trace = pump_trace
+    if trace is None:
+        trace = propagate_pumps(cfg, initial_envelopes(cfg))
     result = evolve_jta(cfg, trace, snapshots=snapshots)
     return RunOutput(cfg=cfg, pump_trace=trace if keep_pump_trace else None, result=result)

@@ -221,3 +221,48 @@ def test_mismatch_distribution_is_not_a_config_key(tmp_path):
     p.write_text(json.dumps({"numerics": FAST, "mismatch": {
         "distribution": {"p1": 0.5, "p2": 0.5, "s": 0.0, "i": 0.0}}}))
     assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 2
+
+
+def test_simulate_reports_validation_warnings(tmp_path, capsys, monkeypatch):
+    # {} is the reference configuration, whose tabulated l_w_s disagrees
+    # with its velocities; the run itself goes on the fast grid
+    from taperfwm import cli
+
+    real_run_source = cli.run_source
+    monkeypatch.setattr(cli, "run_source",
+                        lambda cfg, **kw: real_run_source(cfg.replace(numerics=FAST), **kw))
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert "warning:" in err and "dispersion.l_w_s" in err
+
+
+def test_sweep_workers_capped_at_points(cfg_path, tmp_path, monkeypatch):
+    from taperfwm import cli
+
+    pools = []
+
+    class InlinePool:
+        """Records its worker count and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "worker_count", lambda: 8)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    tm = tau_max_of(table1_config())
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "tau",
+                 "--from", str(0.4 * tm), "--to", str(0.6 * tm), "--steps", "3"]) == 0
+    assert pools == [3]
+    assert [r["status"] for r in _read_csv(out / "sweep.csv")] == ["ok"] * 3

@@ -14,7 +14,14 @@ from taperfwm import (
     table1_config,
     validate_config,
 )
-from taperfwm.config import ConfigError, dbcm_to_per_m, per_m_to_dbcm, tau_max_of
+from taperfwm.config import (
+    ConfigError,
+    ConfigWarning,
+    NumericsSpec,
+    dbcm_to_per_m,
+    per_m_to_dbcm,
+    tau_max_of,
+)
 from taperfwm.mismatch import calibrate_mismatch, mismatch_phase
 
 C = 299792458.0
@@ -183,6 +190,19 @@ def test_load_config_override(tmp_path):
     cfg = load_config(p)
     assert cfg.geometry.taper_amplitude == 0.25e-6
     assert cfg.pump.tau == table1_config().pump.tau
+
+
+def test_load_config_emits_validation_warnings(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    with pytest.warns(ConfigWarning, match="dispersion.l_w_s"):
+        load_config(p)
+
+
+def test_numerics_window_is_a_tuple():
+    spec = NumericsSpec(t_window=[-4.0, 12.0])
+    assert spec.t_window == (-4.0, 12.0)
+    assert hash(spec) == hash(NumericsSpec())
 
 
 def test_load_config_unknown_key_fatal(tmp_path):

@@ -150,12 +150,12 @@ def test_optimizer_beats_center(fast_cfg):
 
 
 def _serial(monkeypatch):
-    monkeypatch.setattr(interference, "_worker_count", lambda: 1)
+    monkeypatch.setattr(interference, "worker_count", lambda: 1)
 
 
 def _pooled(monkeypatch):
     # two workers even on a single CPU, so that the pool path is exercised
-    monkeypatch.setattr(interference, "_worker_count", lambda: 2)
+    monkeypatch.setattr(interference, "worker_count", lambda: 2)
 
 
 def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
@@ -168,9 +168,9 @@ def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     runs = []
     real_run_source = interference.run_source
 
-    def counted(cfg):
+    def counted(cfg, **kw):
         runs.append((cfg.geometry.height_offset, cfg.pump.tau))
-        return real_run_source(cfg)
+        return real_run_source(cfg, **kw)
 
     monkeypatch.setattr(interference, "run_source", counted)
     sources = (SourceCache(fast_cfg), SourceCache(cfg2))
@@ -180,9 +180,6 @@ def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     # the raw pair sits at tau_max/2, the optimizer's start point: every
     # run is distinct and the raw runs are not repeated
     assert len(runs) == len(set(runs))
-    taus1 = {c[0] for c in opt.candidates}
-    taus2 = {c[1] for c in opt.candidates}
-    assert len(runs) == len(taus1) + len(taus2)
     assert (raw.v_rhom, raw.v_hhom) == (raw_alone.v_rhom, raw_alone.v_hhom)
     assert opt.candidates == opt_alone.candidates
     assert (opt.optimal_tau1, opt.optimal_tau2) == (opt_alone.optimal_tau1, opt_alone.optimal_tau2)
@@ -255,11 +252,95 @@ def test_pool_and_serial_paths_agree_bitwise(monkeypatch):
             assert np.array_equal(a._runs[tau].values, b._runs[tau].values)
 
 
-def test_pool_runs_only_candidate_taus(monkeypatch):
+def _record_fills(monkeypatch):
+    """The requests of every _fill call, in call order."""
+    calls = []
+    real_fill = interference._fill
+
+    def recorded(workers, requests):
+        calls.append(list(requests))
+        return real_fill(workers, requests)
+
+    monkeypatch.setattr(interference, "_fill", recorded)
+    return calls
+
+
+# coarse_points=5: delays tau_max * i/128, coarse grid every 32 cells,
+# compass steps of 16, 8, 4, 2 and 1 cells
+LATTICE_CELLS = 128
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_runs_are_lattice_points_near_candidates(monkeypatch, pool):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    study, (src1, src2) = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
-    assert set(src1._runs) == {c[0] for c in study.candidates}
-    assert set(src2._runs) == {c[1] for c in study.candidates}
+    calls = _record_fills(monkeypatch)
+    study, (src1, src2) = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2, coarse_points=5)
+    lattice = {tau_max_of(MOVING_PAIR) * (i / LATTICE_CELLS) for i in range(LATTICE_CELLS + 1)}
+    assert set(src1._runs) | set(src2._runs) <= lattice
+    # a compass round batches the four neighbour runs of its start point;
+    # a move within the round skips the neighbour opposite to it, which may
+    # stay outside the candidates: on this path, fewer runs than rounds
+    rounds = sum(1 for requests in calls if len(requests) == 4)
+    outside1 = set(src1._runs) - {c[0] for c in study.candidates}
+    outside2 = set(src2._runs) - {c[1] for c in study.candidates}
+    assert rounds > 0
+    assert len(outside1) + len(outside2) <= rounds
+
+
+def test_no_source_tau_is_simulated_twice(monkeypatch):
+    # the raw pair's runs at tau_max/2 are reused, and a lattice point that
+    # two compass paths reach is the same float, so it hits the cache; the
+    # runs are compared at 1e-9 of tau_max, so that delays one ulp apart
+    # count as one
+    _serial(monkeypatch)
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    tm = tau_max_of(MOVING_PAIR)
+    runs = []
+    real_run_source = interference.run_source
+
+    def counted(cfg, **kw):
+        runs.append((cfg.geometry.width_offset, round(cfg.pump.tau / tm, 9)))
+        return real_run_source(cfg, **kw)
+
+    monkeypatch.setattr(interference, "run_source", counted)
+    sources = (SourceCache(MOVING_PAIR), SourceCache(cfg2))
+    evaluate_pair(MOVING_PAIR, cfg2, sources)
+    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5, sources=sources)
+    assert len(runs) == len(set(runs))
+    assert len(runs) == len(sources[0]._runs) + len(sources[1]._runs)
+
+
+def test_shared_pump_trace_matches_separate_runs():
+    # one serial batch groups the two geometries by pump trace at each of
+    # the default 11 coarse delays, tau_max * i/160 for i = 0, 16, ..., 160
+    caches = [SourceCache(MOVING_PAIR.replace(geometry={"width_offset": w}))
+              for w in (0.0, 60e-9)]
+    taus = [tau_max_of(MOVING_PAIR) * (i / 160) for i in range(0, 161, 16)]
+    interference._fill(interference._Workers(), [(c, t) for c in caches for t in taus])
+    for cache in caches:
+        for tau in taus:
+            alone = run_source(cache.cfg.replace(pump={"tau": tau})).result.jta
+            assert np.array_equal(cache._runs[tau].values, alone.values)
+
+
+def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
+    from taperfwm import simulate
+
+    _serial(monkeypatch)
+    calls = _record_fills(monkeypatch)
+    pumps_at_fill = []
+    real_propagate = simulate.propagate_pumps
+
+    def counted(cfg, *args):
+        pumps_at_fill.append(len(calls))
+        return real_propagate(cfg, *args)
+
+    monkeypatch.setattr(simulate, "propagate_pumps", counted)
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5)
+    coarse_taus = {float(tau) for _, tau in calls[0]}
+    assert len(coarse_taus) == 5
+    assert pumps_at_fill.count(1) == len(coarse_taus)
 
 
 def test_pool_workers_are_joined(monkeypatch, fast_cfg):
