@@ -21,11 +21,18 @@ from .config import (
     load_config,
 )
 from .pumps import PumpEnvelopes, PumpTrace, initial_envelopes, propagate_pumps, analytic_pumps
-from .jta import JointAmplitude, XiProfile, SimulationResult, evolve_jta, source_term, perturbative_oracle
+from .jta import (
+    JointAmplitude,
+    XiProfile,
+    SimulationResult,
+    evolve_jta,
+    jsa_to_jta,
+    jta_to_jsa,
+    perturbative_oracle,
+    source_term,
+)
 from .metrics import (
     MetricsReport,
-    jta_to_jsa,
-    jsa_to_jta,
     heralded_purity,
     mean_shift,
     arrival_times,

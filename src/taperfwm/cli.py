@@ -17,8 +17,8 @@ from . import io
 from .analytic import erf_xi_profile, fit_erf, sigma_z_analytic
 from .config import ConfigError, SourceConfig, derive_run_params, load_config
 from .interference import SourceCache, evaluate_pair, optimize_delays
-from .jta import JointAmplitude, snapshot_nodes
-from .metrics import jta_to_jsa, spectral_cumulative
+from .jta import JointAmplitude, jta_to_jsa, snapshot_nodes
+from .metrics import spectral_cumulative
 from .pumps import PropagationError
 from .simulate import ValidationFailure, run_source, worker_count
 
@@ -40,12 +40,12 @@ def _with_param(cfg: SourceConfig, param: str, value: float) -> SourceConfig:
     return cfg.replace(**{section: {key: value}})
 
 
-def _dump_matrices(writer: io.ArtifactWriter, phi: JointAmplitude, stem: str,
-                   dump_jta: bool, dump_jsa: bool):
-    if dump_jta:
-        writer.add(io.write_cjm1(phi, writer.path(f"{stem}_jta.cjm1")))
-    if dump_jsa:
-        writer.add(io.write_cjm1(jta_to_jsa(phi), writer.path(f"{stem}_jsa.cjm1")))
+def _dump_matrices(writer: io.ArtifactWriter, stem: str, jta: JointAmplitude | None,
+                   jsa: JointAmplitude | None):
+    """<stem>_jta.cjm1 and <stem>_jsa.cjm1, for each amplitude given."""
+    for phi, kind in ((jta, "jta"), (jsa, "jsa")):
+        if phi is not None:
+            writer.add(io.write_cjm1(phi, writer.path(f"{stem}_{kind}.cjm1")))
 
 
 def cmd_simulate(args) -> int:
@@ -59,10 +59,13 @@ def cmd_simulate(args) -> int:
     writer.add(io.write_metrics_json(out.metrics, writer.path("metrics.json")))
     writer.add(io.write_xi_profile_csv(out.result.xi_profile, cfg.geometry.length,
                                        writer.path("xi_profile.csv")))
-    _dump_matrices(writer, out.result.jta, "final", args.dump_jta, args.dump_jsa)
+    # the final JSA is the one the metrics built
+    _dump_matrices(writer, "final", out.result.jta if args.dump_jta else None,
+                   out.result.jsa if args.dump_jsa else None)
     if args.snapshots:
         for k, snap in enumerate(out.result.snapshots):
-            _dump_matrices(writer, snap, f"snapshot_{k:03d}", args.dump_jta, args.dump_jsa)
+            _dump_matrices(writer, f"snapshot_{k:03d}", snap if args.dump_jta else None,
+                           jta_to_jsa(snap) if args.dump_jsa else None)
         zs, w_axis, spec = spectral_cumulative(out.result.snapshots)
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
@@ -110,7 +113,9 @@ def cmd_pair(args) -> int:
     cfg1 = load_config(args.config1)
     cfg2 = load_config(args.config2)
     writer = io.ArtifactWriter("pair", args.output, [cfg1, cfg2])
-    sources = (SourceCache(cfg1), SourceCache(cfg2))
+    # equal configurations share one cache, so each delay is simulated once
+    src1 = SourceCache(cfg1)
+    sources = (src1, src1 if cfg2 == cfg1 else SourceCache(cfg2))
     raw = evaluate_pair(cfg1, cfg2, sources)
     doc = {
         "raw": {"v_rhom": raw.v_rhom, "v_hhom": raw.v_hhom,

@@ -36,8 +36,12 @@ class RunManifest:
     files: dict = field(default_factory=dict)  # name -> sha256
 
     def record(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files[path.name] = digest
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            # in blocks, so a matrix dump is never held whole
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        self.files[path.name] = digest.hexdigest()
 
     def write(self, path: Path):
         """Write the manifest itself; call last so every file is listed."""
@@ -62,12 +66,11 @@ def write_cjm1(phi: JointAmplitude, path) -> Path:
     little-endian float64 (Re, Im).  A JSON sidecar carries the grid."""
     path = Path(path)
     n_rows, n_cols = phi.values.shape
-    inter = np.empty((n_rows, n_cols, 2))
-    inter[:, :, 0] = phi.values.real
-    inter[:, :, 1] = phi.values.imag
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, n_rows, n_cols, 0))
-        fh.write(inter.astype("<f8").tobytes())
+        # little-endian complex128 is that layout: the matrix's own buffer
+        # is written, with no copy
+        fh.write(np.ascontiguousarray(phi.values, "<c16").data)
     _write_sidecar(phi, path.with_suffix(path.suffix + ".json"))
     return path
 
@@ -83,9 +86,8 @@ def read_cjm1(path) -> np.ndarray:
     expect = _HEADER.size + n_rows * n_cols * 16
     if len(raw) != expect:
         raise FormatError(f"{path}: size {len(raw)} != expected {expect}")
-    inter = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    inter = inter.reshape(n_rows, n_cols, 2)
-    return np.ascontiguousarray(inter[:, :, 0] + 1j * inter[:, :, 1])
+    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    return values.reshape(n_rows, n_cols).astype(complex)
 
 
 def _write_sidecar(phi: JointAmplitude, path: Path):

@@ -1,4 +1,5 @@
-"""Driven two-dimensional evolution of the joint temporal amplitude.
+"""Driven two-dimensional evolution of the joint temporal amplitude, and
+its unitary transform to the joint spectral amplitude.
 
 The geometry acts only through the net phase mismatch, which the source
 carries as exp(i Theta(z)) (see mismatch.mismatch_phase); the pump
@@ -7,7 +8,9 @@ envelopes and the stepped amplitude carry no mismatch phase of their own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +18,13 @@ from .config import Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
 from .pumps import PropagationError, PumpEnvelopes, PumpTrace
 from .spectral import omega_axis
+
+
+def sum_abs2(a: np.ndarray) -> float:
+    """sum |a|^2 of a complex matrix, by rows then over the row sums, with
+    no temporary of the matrix's size and no BLAS call."""
+    return float(np.sum(np.einsum("ij,ij->i", a.real, a.real)
+                        + np.einsum("ij,ij->i", a.imag, a.imag)))
 
 
 @dataclass
@@ -42,7 +52,56 @@ class JointAmplitude:
         return d * d
 
     def integrate_norm(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.cell_measure())
+        return sum_abs2(self.values) * self.cell_measure()
+
+
+def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
+    """Unitary two-dimensional transform to the dual frequency grid.
+
+    The result is aligned with the sorted grid.w_axis on both axes and
+    preserves the physical norm exactly.  The transform fills one new
+    buffer, on which the phase factors act in place.
+    """
+    if phi.domain != "time":
+        raise ValueError("jta_to_jsa expects a time-domain amplitude")
+    g = phi.grid
+    w = omega_axis(g.n, g.dt)
+    factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * w * g.t_axis[0])
+    spec = np.fft.ifftn(phi.values, axes=(0, 1), out=np.empty(phi.values.shape, complex))
+    spec *= factor[:, None]
+    spec *= factor[None, :]
+    return JointAmplitude(values=_fftshift_in_place(spec), domain="frequency", grid=g, z=phi.z,
+                          norm_sq=phi.norm_sq)
+
+
+def _fftshift_in_place(a: np.ndarray) -> np.ndarray:
+    """np.fft.fftshift of a square matrix, in place: row i moves to row
+    i + n//2 (mod n), rolled by n//2, along the cycles of that map, with
+    one row held aside at a time."""
+    n = a.shape[0]
+    k = n // 2
+    for start in range(math.gcd(n, k)):
+        carry = np.roll(a[start], k)
+        j = (start + k) % n
+        while j != start:
+            carry, a[j] = np.roll(a[j], k), carry
+            j = (j + k) % n
+        a[start] = carry
+    return a
+
+
+def jsa_to_jta(phi: JointAmplitude) -> JointAmplitude:
+    if phi.domain != "frequency":
+        raise ValueError("jsa_to_jta expects a frequency-domain amplitude")
+    g = phi.grid
+    n = g.n
+    w = omega_axis(n, g.dt)
+    scale = n * g.dt / np.sqrt(2.0 * np.pi)
+    offset = np.exp(1j * w * g.t_axis[0])
+    spec = np.fft.ifftshift(phi.values)
+    spec = spec / ((scale * offset)[:, None] * (scale * offset)[None, :])
+    vals = np.fft.fft2(spec)
+    return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
 
 
 @dataclass
@@ -58,6 +117,12 @@ class SimulationResult:
     xi_profile: XiProfile
     snapshots: list
     xi_from_rhs: float     # cumulative-probability bookkeeping (loss + source)
+
+    @cached_property
+    def jsa(self) -> JointAmplitude:
+        """The final JSA, built on first access and kept, so that the
+        metrics and the JSA dump share one."""
+        return jta_to_jsa(self.jta)
 
 
 def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
@@ -175,7 +240,7 @@ def evolve_jta(
     theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
 
     xi = np.empty(n_z + 1)
-    xi[0] = float(np.sum(np.abs(state) ** 2)) * dt * dt
+    xi[0] = sum_abs2(state) * dt * dt
 
     snap_nodes = set(snapshot_nodes(snapshots, n_z).tolist())
     snaps = []

@@ -7,8 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import CONSTANTS, DispersionSet, SourceConfig
-from .jta import JointAmplitude, SimulationResult
-from .spectral import omega_axis
+from .jta import JointAmplitude, SimulationResult, jsa_to_jta, jta_to_jsa, sum_abs2
 
 
 @dataclass
@@ -28,58 +27,32 @@ class MetricsReport:
         return asdict(self)
 
 
-def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
-    """Unitary two-dimensional transform to the dual frequency grid.
-
-    The result is aligned with the sorted grid.w_axis on both axes and
-    preserves the physical norm exactly.
-    """
-    if phi.domain != "time":
-        raise ValueError("jta_to_jsa expects a time-domain amplitude")
-    g = phi.grid
-    n = g.n
-    w = omega_axis(n, g.dt)
-    scale = n * g.dt / np.sqrt(2.0 * np.pi)
-    offset = np.exp(1j * w * g.t_axis[0])
-    spec = np.fft.ifft2(phi.values) * (scale * offset)[:, None] * (scale * offset)[None, :]
-    spec = np.fft.fftshift(spec)
-    return JointAmplitude(values=spec, domain="frequency", grid=g, z=phi.z, norm_sq=phi.norm_sq)
-
-
-def jsa_to_jta(phi: JointAmplitude) -> JointAmplitude:
-    if phi.domain != "frequency":
-        raise ValueError("jsa_to_jta expects a frequency-domain amplitude")
-    g = phi.grid
-    n = g.n
-    w = omega_axis(n, g.dt)
-    scale = n * g.dt / np.sqrt(2.0 * np.pi)
-    offset = np.exp(1j * w * g.t_axis[0])
-    spec = np.fft.ifftshift(phi.values)
-    spec = spec / ((scale * offset)[:, None] * (scale * offset)[None, :])
-    vals = np.fft.fft2(spec)
-    return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
-
-
 def in_domain(phi: JointAmplitude, domain: str) -> JointAmplitude:
     if phi.domain == domain:
         return phi
     return jta_to_jsa(phi) if domain == "frequency" else jsa_to_jta(phi)
 
 
+_GRAM_BLOCKS = 8
+
+
 def heralded_purity(phi: JointAmplitude) -> float:
     """Sum of fourth powers of the normalized Schmidt values,
     Tr((A^H A)^2) / Tr(A^H A)^2 = |A^H A|_F^2 / |A|_F^4, with no SVD."""
     a = phi.values
-    norm_sq = float(np.sum(np.abs(a) ** 2))
+    norm_sq = sum_abs2(a)
     if norm_sq == 0.0:
         raise ValueError("purity undefined for a zero amplitude")
-    gram = a.conj().T @ a
-    gram /= norm_sq
-    return float(np.sum(np.abs(gram) ** 2))
+    # A^H A by blocks of rows, each from the conjugate of a block of
+    # columns: neither A^H nor A^H A is held whole
+    step = -(-a.shape[1] // _GRAM_BLOCKS)
+    gram_sq = sum(sum_abs2(a[:, j:j + step].conj().T @ a) for j in range(0, a.shape[1], step))
+    return gram_sq / norm_sq**2
 
 
 def _marginals(phi: JointAmplitude):
-    inten = np.abs(phi.values) ** 2
+    inten = np.abs(phi.values)
+    inten *= inten
     return inten.sum(axis=1), inten.sum(axis=0)
 
 
@@ -131,7 +104,10 @@ def analytic_arrival_times(cfg: SourceConfig):
 def ec_deviation(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float) -> float:
     """Deviation of the mean Idler wavelength from energy conservation,
     using the measured mean Signal shift and a fixed pump wavelength."""
-    dlam_s, dlam_i = mean_shift(phi, disp, t0_fwhm)
+    return _ec_deviation(*mean_shift(phi, disp, t0_fwhm), disp)
+
+
+def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
     dlam_i_ec = -((disp.lam_i / disp.lam_s) ** 2) * dlam_s
     return dlam_i - dlam_i_ec
 
@@ -158,13 +134,18 @@ def spectral_cumulative(snapshots, normalize: bool = True):
 
 
 def compute_metrics(result: SimulationResult, cfg: SourceConfig) -> MetricsReport:
+    """The metrics of a run's final state.
+
+    The purity and the arrival times are taken on the JTA, before
+    result.jsa, which the wavelength shifts read, is built; the JSA is the
+    JTA under a unitary map on each axis, so the purity is the same.
+    """
     phi = result.jta
     t0 = cfg.pump.t0_fwhm
     d = cfg.dispersion
-    jsa = jta_to_jsa(phi)
-    purity = heralded_purity(jsa)
-    dlam_s, dlam_i = mean_shift(jsa, d, t0)
+    purity = heralded_purity(phi)
     (mean_s, mean_i), (std_s, std_i) = arrival_times(phi, t0)
+    dlam_s, dlam_i = mean_shift(result.jsa, d, t0)
     return MetricsReport(
         xi=phi.norm_sq,
         purity=purity,
@@ -175,5 +156,5 @@ def compute_metrics(result: SimulationResult, cfg: SourceConfig) -> MetricsRepor
         arrival_mean_i=mean_i - cfg.pump.tau,
         arrival_std_s=std_s,
         arrival_std_i=std_i,
-        ec_deviation=ec_deviation(jsa, d, t0),
+        ec_deviation=_ec_deviation(dlam_s, dlam_i, d),
     )

@@ -30,22 +30,29 @@ class PumpEnvelopes:
 
 @dataclass
 class PumpTrace:
-    """Envelopes at every z node plus the step midpoints needed downstream."""
+    """The envelopes at the n_z step midpoints, which the JTA stepper reads,
+    and at the two end nodes z = 0 and z = L, which --dump-pumps writes.
+    The interior nodes are not kept."""
 
     grid: Grid
     z_nodes: np.ndarray          # (n_z + 1,)
-    a_p1: np.ndarray             # (n_z + 1, n_t)
-    a_p2: np.ndarray
     z_mid: np.ndarray            # (n_z,)
     a_p1_mid: np.ndarray         # (n_z, n_t)
     a_p2_mid: np.ndarray
+    a_p1_ends: np.ndarray        # (2, n_t): at z = 0 and z = L
+    a_p2_ends: np.ndarray
 
     @property
     def n_z(self):
         return self.z_nodes.size - 1
 
     def envelopes_at(self, k: int) -> PumpEnvelopes:
-        return PumpEnvelopes(self.a_p1[k].copy(), self.a_p2[k].copy(), z=float(self.z_nodes[k]))
+        """The envelopes at node k, the launch (0) or the end (n_z)."""
+        if k not in (0, self.n_z):
+            raise ValueError(f"the trace keeps nodes 0 and {self.n_z} only, not {k}")
+        e = 0 if k == 0 else 1
+        return PumpEnvelopes(self.a_p1_ends[e].copy(), self.a_p2_ends[e].copy(),
+                             z=float(self.z_nodes[k]))
 
 
 def trace_key(cfg: SourceConfig) -> tuple:
@@ -70,40 +77,67 @@ def initial_envelopes(cfg: SourceConfig, grid: Grid | None = None) -> PumpEnvelo
     return PumpEnvelopes(a_p1=a1, a_p2=a2, z=0.0)
 
 
+def _pump_exponents(cfg: SourceConfig, grid: Grid) -> np.ndarray:
+    """Per-unit-length linear-operator exponents of both pumps, (2, n_t):
+    loss, dispersion and, for pump 2, the walk-off from pump 1's frame."""
+    d, num = cfg.dispersion, cfg.numerics
+    rp = derive_run_params(cfg)
+    w = omega_axis(num.n_t, grid.dt)
+    disp = 1.0 if num.dispersion_enabled else 0.0
+    lin1 = -0.5 * rp.alpha_m["p1"] + disp * 0.5j * w**2 / d.l_d_p1
+    lin2 = -0.5 * rp.alpha_m["p2"] + disp * 0.5j * w**2 / d.l_d_p2 + 1j * w / d.l_w_p
+    return np.stack([lin1, lin2])
+
+
+# the steps change a pump's energy only through the loss; the law holds to
+# ~1e-13 from 128x200 to 512x2000, so a departure beyond this is a fault
+_ENERGY_RTOL = 1e-10
+
+
+def _check_energy(cfg: SourceConfig, launch: np.ndarray, end: np.ndarray):
+    """Raise PropagationError unless each pump's end energy int |a|^2 dT is
+    exp(-alpha_p L) times its launch energy."""
+    rp = derive_run_params(cfg)
+    alpha = np.array([rp.alpha_m["p1"], rp.alpha_m["p2"]])
+    expect = np.exp(-alpha * cfg.geometry.length) * np.sum(np.abs(launch) ** 2, axis=1)
+    got = np.sum(np.abs(end) ** 2, axis=1)
+    if np.any(np.abs(got - expect) > _ENERGY_RTOL * expect):
+        raise PropagationError(
+            f"pump energy departs from exp(-alpha_p L) times the launch energy: "
+            f"{got.tolist()} against {expect.tolist()}"
+        )
+
+
 def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> PumpTrace:
     """Integrate the two coupled pump equations over [0, L].
 
     Internally steps at h/2 so that both the z nodes and the step midpoints
-    hold physical envelopes; the trace exposes both.  Both pumps are stepped
-    together as one (2, n_t) array, with three transforms per sub-step, and
-    the SPM/XPM phases are one 2x2 gamma matrix acting on (|a1|^2, |a2|^2).
+    hold physical envelopes; the trace keeps the midpoints and the two end
+    nodes.  Both pumps are stepped together as one (2, n_t) array, with
+    three transforms per sub-step, and the SPM/XPM phases are one 2x2 gamma
+    matrix acting on (|a1|^2, |a2|^2).  Every node must be finite, and the
+    end energies must follow the loss (see _check_energy).
     """
     grid = cfg.grid()
     if env0 is None:
         env0 = initial_envelopes(cfg, grid)
     d, num = cfg.dispersion, cfg.numerics
-    rp = derive_run_params(cfg)
 
     n_z = num.n_z
     L = cfg.geometry.length
     h = L / n_z
     hs = h / 2.0  # internal sub-step
 
-    w = omega_axis(num.n_t, grid.dt)
-    disp = 1.0 if num.dispersion_enabled else 0.0
-    nl_on = num.xpm_spm_enabled
-
     # z-independent part of the linear operators (frequency domain)
-    lin1 = -0.5 * rp.alpha_m["p1"] + disp * 0.5j * w**2 / d.l_d_p1
-    lin2 = -0.5 * rp.alpha_m["p2"] + disp * 0.5j * w**2 / d.l_d_p2 + 1j * w / d.l_w_p
-    half = np.exp(np.stack([lin1, lin2]) * hs / 2.0)
+    half = np.exp(_pump_exponents(cfg, grid) * hs / 2.0)
     gamma = hs * np.array([[d.gamma_1111, 2.0 * d.gamma_1122],
                            [2.0 * d.gamma_2211, d.gamma_2222]])
+    nl_on = num.xpm_spm_enabled
 
     a = np.array([env0.a_p1, env0.a_p2], dtype=complex)
-    nodes = np.empty((2, n_z + 1, num.n_t), complex)
     mids = np.empty((2, n_z, num.n_t), complex)
-    nodes[:, 0] = a
+    ends = np.empty((2, 2, num.n_t), complex)  # (pump, z = 0 | z = L, T)
+    ends[:, 0] = a
 
     # the spectrum of a sub-step's end is carried into the next sub-step
     # instead of transforming the stored envelope back
@@ -118,22 +152,20 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
 
         if k % 2 == 0:
             mids[:, k // 2] = a
-        else:
-            j = (k + 1) // 2
-            nodes[:, j] = a
-            if not np.all(np.isfinite(a)):
-                raise PropagationError(f"pump propagation diverged at step {j}")
+        elif not np.all(np.isfinite(a)):
+            raise PropagationError(f"pump propagation diverged at step {(k + 1) // 2}")
+    ends[:, 1] = a
+    _check_energy(cfg, ends[:, 0], ends[:, 1])
 
     z_nodes = np.linspace(0.0, L, n_z + 1)
-    z_mid = z_nodes[:-1] + h / 2.0
     return PumpTrace(
         grid=grid,
         z_nodes=z_nodes,
-        a_p1=nodes[0],
-        a_p2=nodes[1],
-        z_mid=z_mid,
+        z_mid=z_nodes[:-1] + h / 2.0,
         a_p1_mid=mids[0],
         a_p2_mid=mids[1],
+        a_p1_ends=ends[0],
+        a_p2_ends=ends[1],
     )
 
 

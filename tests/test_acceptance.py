@@ -32,6 +32,8 @@ from taperfwm.pumps import initial_envelopes, propagate_pumps
 
 from _reference import global_phase, reference_jta
 
+pytestmark = pytest.mark.acceptance
+
 T0 = 0.8e-12
 STUDY = {"n_t": 128, "n_z": 400}   # resolution for sweep-style studies
 PAIR = {"n_t": 256, "n_z": 400}    # two-source studies need the finer grid

@@ -127,6 +127,54 @@ def test_pair_optimize(cfg_path, tmp_path):
     assert len(cands) > 10
 
 
+def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkeypatch):
+    from taperfwm import interference
+
+    taus = []
+    real_run_source = interference.run_source
+
+    def counted(cfg, **kw):
+        taus.append(cfg.pump.tau)
+        return real_run_source(cfg, **kw)
+
+    # one worker, so that every run is counted in this process
+    monkeypatch.setattr(interference, "worker_count", lambda: 1)
+    monkeypatch.setattr(interference, "run_source", counted)
+    assert main(["pair", "-c1", str(cfg_path), "-c2", str(cfg_path), "-o", str(tmp_path / "pair"),
+                 "--optimize"]) == 0
+    # the raw pair and the optimizer visit 19 delays; a cache per source
+    # ran each of them twice
+    assert len(taus) == len(set(taus)) == 19
+
+
+def _leaky_pumps(monkeypatch):
+    """A pump stepper whose loss the energy law exp(-alpha_p L) does not
+    know of."""
+    from taperfwm import pumps
+
+    exponents = pumps._pump_exponents
+    monkeypatch.setattr(pumps, "_pump_exponents",
+                        lambda cfg, grid: exponents(cfg, grid) - 0.5e-6)
+
+
+def test_pump_energy_fault_exits_3(cfg_path, tmp_path, monkeypatch, capsys):
+    _leaky_pumps(monkeypatch)
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
+    assert "pump energy departs" in capsys.readouterr().err
+
+
+def test_sweep_pump_energy_fault_is_a_row(cfg_path, tmp_path, monkeypatch):
+    _leaky_pumps(monkeypatch)
+    tm = tau_max_of(table1_config())
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "tau",
+               "--from", str(0.4 * tm), "--to", str(0.6 * tm), "--steps", "2", "--jobs", "1"])
+    assert rc == 3
+    rows = _read_csv(out / "sweep.csv")
+    assert [r["status"] for r in rows] == ["error", "error"]
+    assert all("pump energy departs" in r["error"] for r in rows)
+
+
 def test_oracle_erf_fit(cfg_path, tmp_path):
     out = tmp_path / "oracle"
     rc = main(["oracle", "-c", str(cfg_path), "-o", str(out)])

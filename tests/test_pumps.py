@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from taperfwm import table1_config
+from taperfwm import pumps, table1_config
 from taperfwm.config import derive_run_params, tau_max_of
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, analytic_pumps, initial_envelopes, propagate_pumps
@@ -12,6 +12,7 @@ from taperfwm.spectral import omega_axis
 from _reference import reference_pumps
 
 FAST = {"n_t": 256, "n_z": 200}
+TRACE_ARRAYS = ("a_p1_mid", "a_p2_mid", "a_p1_ends", "a_p2_ends")
 
 
 def _cfg(**kw):
@@ -58,9 +59,13 @@ def test_pure_loss_energy():
     cfg = _cfg(numerics={"xpm_spm_enabled": False, "dispersion_enabled": False})
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
     g = cfg.grid()
-    for a, dbcm in ((trace.a_p1, 0.4), (trace.a_p2, 0.2)):
-        ratio = _energy(a[-1], g.dt) / _energy(a[0], g.dt)
-        assert ratio == pytest.approx(10 ** (-dbcm * 1.5 / 10.0), rel=1e-9)
+    z_cm = 100.0 * trace.z_mid
+    for mid, ends, dbcm in ((trace.a_p1_mid, trace.a_p1_ends, 0.4),
+                            (trace.a_p2_mid, trace.a_p2_ends, 0.2)):
+        e0 = _energy(ends[0], g.dt)
+        assert _energy(ends[1], g.dt) / e0 == pytest.approx(10 ** (-dbcm * 1.5 / 10.0), rel=1e-9)
+        ratios = np.array([_energy(a, g.dt) for a in mid]) / e0
+        np.testing.assert_allclose(ratios, 10 ** (-dbcm * z_cm / 10.0), rtol=1e-9, atol=0.0)
 
 
 def test_walkoff_translates_pump2_exactly():
@@ -71,16 +76,16 @@ def test_walkoff_translates_pump2_exactly():
     g = cfg.grid()
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
     # pump 2 (slow) advects by L / L_w,p = 6 units; pump 1 defines the frame
-    c2_in = _centroid(g.t_axis, trace.a_p2[0])
-    c2_out = _centroid(g.t_axis, trace.a_p2[-1])
+    c2_in = _centroid(g.t_axis, trace.a_p2_ends[0])
+    c2_out = _centroid(g.t_axis, trace.a_p2_ends[1])
     assert c2_out - c2_in == pytest.approx(6.0, abs=1e-9)
-    c1_in = _centroid(g.t_axis, trace.a_p1[0])
-    c1_out = _centroid(g.t_axis, trace.a_p1[-1])
+    c1_in = _centroid(g.t_axis, trace.a_p1_ends[0])
+    c1_out = _centroid(g.t_axis, trace.a_p1_ends[1])
     assert c1_out - c1_in == pytest.approx(0.0, abs=1e-9)
     # shape undistorted: translated input equals output
     w = omega_axis(g.n, g.dt)
-    ref = np.fft.fft(np.fft.ifft(trace.a_p2[0]) * np.exp(1j * w * 6.0))
-    assert np.max(np.abs(ref - trace.a_p2[-1])) <= 1e-10 * np.max(np.abs(ref))
+    ref = np.fft.fft(np.fft.ifft(trace.a_p2_ends[0]) * np.exp(1j * w * 6.0))
+    assert np.max(np.abs(ref - trace.a_p2_ends[1])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_spm_phase_and_energy():
@@ -92,9 +97,10 @@ def test_spm_phase_and_energy():
     g = cfg.grid()
     rp = derive_run_params(cfg)
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
-    assert _energy(trace.a_p1[-1], g.dt) == pytest.approx(_energy(trace.a_p1[0], g.dt), rel=1e-10)
-    k = int(np.argmax(np.abs(trace.a_p1[-1])))
-    phase = np.angle(trace.a_p1[-1][k] / trace.a_p1[0][k])
+    a0, a_end = trace.a_p1_ends
+    assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-10)
+    k = int(np.argmax(np.abs(a_end)))
+    phase = np.angle(a_end[k] / a0[k])
     expect = cfg.dispersion.gamma_1111 * rp.p_peak_1 * cfg.geometry.length
     assert phase == pytest.approx(((expect + np.pi) % (2 * np.pi)) - np.pi, abs=2e-2)
 
@@ -109,24 +115,24 @@ def test_linear_dispersion_matches_exact_propagator():
     w = omega_axis(g.n, g.dt)
     L = cfg.geometry.length
     mult = np.exp(0.5j * w**2 * L / cfg.dispersion.l_d_p1)
-    ref = np.fft.fft(np.fft.ifft(trace.a_p1[0]) * mult)
-    assert np.max(np.abs(ref - trace.a_p1[-1])) <= 1e-10 * np.max(np.abs(ref))
+    ref = np.fft.fft(np.fft.ifft(trace.a_p1_ends[0]) * mult)
+    assert np.max(np.abs(ref - trace.a_p1_ends[1])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_lossless_nonlinear_energy_conservation():
     cfg = _cfg(dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12})
     g = cfg.grid()
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
-    for a in (trace.a_p1, trace.a_p2):
-        assert _energy(a[-1], g.dt) == pytest.approx(_energy(a[0], g.dt), rel=1e-9)
+    for a0, a_end in (trace.a_p1_ends, trace.a_p2_ends):
+        assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-9)
 
 
 def test_step_halving_convergence_order():
     cfg = _cfg(numerics={"n_z": 100})
-    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800}), initial_envelopes(cfg)).a_p2[-1]
+    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800}), initial_envelopes(cfg)).a_p2_ends[1]
 
     def err(n_z):
-        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z}), initial_envelopes(cfg)).a_p2[-1]
+        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z}), initial_envelopes(cfg)).a_p2_ends[1]
         return np.linalg.norm(out - ref)
 
     assert err(100) / err(200) >= 3.5
@@ -136,8 +142,8 @@ def test_determinism():
     cfg = _cfg()
     t1 = propagate_pumps(cfg, initial_envelopes(cfg))
     t2 = propagate_pumps(cfg, initial_envelopes(cfg))
-    assert np.array_equal(t1.a_p1, t2.a_p1)
-    assert np.array_equal(t1.a_p2, t2.a_p2)
+    for name in TRACE_ARRAYS:
+        assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
 
 def test_analytic_pumps_collision_gaussian():
@@ -167,11 +173,12 @@ def test_stacked_stepper_matches_per_pump_reference():
     weights = (0.2, 0.3, -0.2, -0.3)
     trace = propagate_pumps(cfg, initial_envelopes(cfg))
     ref1, ref2 = reference_pumps(cfg, weights)
-    th_nodes = mismatch_phase(cfg, trace.z_nodes)[:, None]
+    th_ends = mismatch_phase(cfg, trace.z_nodes[[0, -1]])[:, None]
     th_mid = mismatch_phase(cfg, trace.z_mid)[:, None]
-    # the reference holds every sub-step: even rows are nodes, odd rows midpoints
-    for got, theta, w, ref in ((trace.a_p1, th_nodes, weights[0], ref1[::2]),
-                               (trace.a_p2, th_nodes, weights[1], ref2[::2]),
+    # the reference holds every sub-step: even rows are nodes, odd rows
+    # midpoints; the trace keeps the first and last node
+    for got, theta, w, ref in ((trace.a_p1_ends, th_ends, weights[0], ref1[[0, -1]]),
+                               (trace.a_p2_ends, th_ends, weights[1], ref2[[0, -1]]),
                                (trace.a_p1_mid, th_mid, weights[0], ref1[1::2]),
                                (trace.a_p2_mid, th_mid, weights[1], ref2[1::2])):
         assert np.max(np.abs(got * np.exp(1j * w * theta) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -184,8 +191,24 @@ def test_pump_trace_is_geometry_free():
     for geometry in ({"taper_amplitude": 0.25e-6}, {"width_offset": 60e-9},
                      {"height_offset": 4.3e-9}):
         trace = propagate_pumps(cfg.replace(geometry=geometry))
-        for name in ("a_p1", "a_p2", "a_p1_mid", "a_p2_mid"):
+        for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(trace, name), getattr(ref, name)), (geometry, name)
+
+
+@pytest.mark.parametrize("extra_loss, fails", [(1e-9, False), (1e-6, True)])
+def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
+    # a stepper loss (1/m, on the power) that the law exp(-alpha_p L) does
+    # not know of: over L it removes 1.5e-11 or 1.5e-8 of each pump's
+    # energy, below and above the 1e-10 bound
+    exponents = pumps._pump_exponents
+    monkeypatch.setattr(pumps, "_pump_exponents",
+                        lambda cfg, grid: exponents(cfg, grid) - 0.5 * extra_loss)
+    cfg = _cfg()
+    if fails:
+        with pytest.raises(PropagationError, match="pump energy departs"):
+            propagate_pumps(cfg)
+    else:
+        propagate_pumps(cfg)
 
 
 def test_nan_envelope_raises_at_first_step():
