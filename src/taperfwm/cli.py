@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .interference import SourceCache, evaluate_pair, optimize_delays
 from .jta import JointAmplitude, jta_to_jsa, snapshot_nodes
 from .metrics import spectral_cumulative
 from .pumps import PropagationError
-from .simulate import ValidationFailure, run_source, worker_count
+from .simulate import ValidationFailure, WorkerPool, run_source
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,6 +47,25 @@ def _dump_matrices(writer: io.ArtifactWriter, stem: str, jta: JointAmplitude | N
             writer.add(io.write_cjm1(phi, writer.path(f"{stem}_{kind}.cjm1")))
 
 
+def _dump_pumps(writer: io.ArtifactWriter, trace):
+    """pumps_z00000.csv and pumps_z<n_z>.csv: the launch and end envelopes."""
+    for k in (0, trace.n_z):
+        env = trace.envelopes_at(k)
+        writer.add(io.write_envelopes_csv(trace.grid.t_axis, env.a_p1, env.a_p2,
+                                          writer.path(f"pumps_z{k:05d}.csv")))
+
+
+def _snapshot_jsas(writer: io.ArtifactWriter, result, dump_jta: bool, dump_jsa: bool):
+    """Each snapshot's JSA, dumped as asked and released before the next is
+    built; the last snapshot is the final state, whose JSA the run holds."""
+    for k, snap in enumerate(result.snapshots):
+        jsa = result.jsa if snap is result.jta else jta_to_jsa(snap)
+        _dump_matrices(writer, f"snapshot_{k:03d}", snap if dump_jta else None,
+                       jsa if dump_jsa else None)
+        yield jsa
+        del jsa
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     try:
@@ -56,6 +74,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--snapshots: {exc}") from exc
     writer = io.ArtifactWriter("simulate", args.output, [cfg])
     out = run_source(cfg, keep_pump_trace=args.dump_pumps, snapshots=args.snapshots)
+    if args.dump_pumps:
+        # the rest of the run needs none of the trace's step midpoints
+        _dump_pumps(writer, out.pump_trace)
+        out.pump_trace = None
     writer.add(io.write_metrics_json(out.metrics, writer.path("metrics.json")))
     writer.add(io.write_xi_profile_csv(out.result.xi_profile, cfg.geometry.length,
                                        writer.path("xi_profile.csv")))
@@ -63,19 +85,10 @@ def cmd_simulate(args) -> int:
     _dump_matrices(writer, "final", out.result.jta if args.dump_jta else None,
                    out.result.jsa if args.dump_jsa else None)
     if args.snapshots:
-        for k, snap in enumerate(out.result.snapshots):
-            _dump_matrices(writer, f"snapshot_{k:03d}", snap if args.dump_jta else None,
-                           jta_to_jsa(snap) if args.dump_jsa else None)
-        zs, w_axis, spec = spectral_cumulative(out.result.snapshots)
+        zs, w_axis, spec = spectral_cumulative(
+            _snapshot_jsas(writer, out.result, args.dump_jta, args.dump_jsa))
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
-    if args.dump_pumps:
-        trace = out.pump_trace
-        for k in (0, trace.n_z):
-            env = trace.envelopes_at(k)
-            name = f"pumps_z{k:05d}.csv"
-            writer.add(io.write_envelopes_csv(trace.grid.t_axis, env.a_p1, env.a_p2,
-                                              writer.path(name)))
     writer.finish()
     return EXIT_OK
 
@@ -94,14 +107,10 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = np.linspace(args.start, args.stop, args.steps)
-    jobs = min(args.jobs or worker_count(), len(values))
     payloads = [(k, cfg, args.param, float(v)) for k, v in enumerate(values)]
     writer = io.ArtifactWriter("sweep", args.output, [cfg])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    with WorkerPool(len(payloads), args.jobs) as workers:
+        rows = list(workers.map(_sweep_point, payloads))
     writer.add(io.write_sweep_csv(rows, writer.path("sweep.csv")))
     writer.finish()
     if any(r[3] == "error" for r in rows):

@@ -19,11 +19,10 @@ import numpy as np
 @dataclass(frozen=True)
 class PhysicalConstants:
     c: float = 299792458.0          # m/s
-    hbar: float = 1.054571817e-34   # J s
     ln10: float = math.log(10.0)
 
     def __post_init__(self):
-        if self.c <= 0 or self.hbar <= 0 or self.ln10 <= 0:
+        if self.c <= 0 or self.ln10 <= 0:
             raise ValueError("physical constants must be strictly positive")
 
 

@@ -3,8 +3,6 @@ pump-delay optimizer."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +12,7 @@ from .jta import JointAmplitude
 from .metrics import arrival_times
 from .spectral import omega_axis, shift_multiplier
 from .pumps import trace_key
-from .simulate import run_source, worker_count
+from .simulate import WorkerPool, run_source
 
 
 @dataclass
@@ -164,7 +162,7 @@ class SourceCache:
 
     def jta(self, tau: float) -> JointAmplitude:
         """The JTA at tau; a miss is simulated in this process."""
-        _fill(_Workers(), [(self, tau)])
+        _fill(WorkerPool(), [(self, tau)])
         return self._runs[float(tau)]
 
 
@@ -176,35 +174,7 @@ def _source_jtas(cfgs) -> list:
     return [out.result.jta for out in (first, *rest)]
 
 
-@dataclass
-class _Workers:
-    """Where the source runs of one call go: a pool of `jobs` worker
-    processes, or this process when there is no pool."""
-    jobs: int = 1
-    pool: ProcessPoolExecutor | None = None
-
-    def map(self, fn, items):
-        return map(fn, items) if self.pool is None else self.pool.map(fn, items)
-
-
-@contextmanager
-def _source_pool(batch: int):
-    """The workers for the source runs of one call: a process pool with no
-    more workers than its largest batch of runs, or this process alone when
-    only one CPU is available.  The pool is joined when the block ends,
-    also when it raises."""
-    jobs = min(worker_count(), batch)
-    if jobs < 2:
-        yield _Workers()
-        return
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        yield _Workers(jobs, pool)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _fill(workers: _Workers, requests):
+def _fill(workers: WorkerPool, requests):
     """Simulate every (cache, tau) of requests that is not cached yet, as
     one batch.
 
@@ -263,7 +233,7 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
     optimize_delays reuse the two runs."""
     t0 = cfg1.pump.t0_fwhm
     src1, src2 = _source_caches(cfg1, cfg2, sources)
-    with _source_pool(2) as workers:
+    with WorkerPool(2) as workers:
         _fill(workers, [(src1, cfg1.pump.tau), (src2, cfg2.pump.tau)])
     phi1 = src1.jta(cfg1.pump.tau)
     phi2 = src2.jta(cfg2.pump.tau)
@@ -342,7 +312,7 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     best = (mid, mid)
     batch = [(src1, tau(mid)), (src2, tau(mid))] + [(src, tau(i)) for src in (src1, src2)
                                                     for i in coarse]
-    with _source_pool(len(batch)) as workers:
+    with WorkerPool(len(batch)) as workers:
         _fill(workers, batch)
         best_v = measure(*best)
         for i in coarse:

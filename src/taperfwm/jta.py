@@ -108,7 +108,6 @@ def jsa_to_jta(phi: JointAmplitude) -> JointAmplitude:
 class XiProfile:
     z_nodes: np.ndarray
     xi: np.ndarray
-    spectral_map: np.ndarray | None = None
 
 
 @dataclass
@@ -116,7 +115,6 @@ class SimulationResult:
     jta: JointAmplitude
     xi_profile: XiProfile
     snapshots: list
-    xi_from_rhs: float     # cumulative-probability bookkeeping (loss + source)
 
     @cached_property
     def jsa(self) -> JointAmplitude:
@@ -309,7 +307,7 @@ def evolve_jta(
             f"bookkeeping {xi[-1]:.17g}"
         )
     profile = XiProfile(z_nodes=pump_trace.z_nodes.copy(), xi=xi)
-    return SimulationResult(jta=final, xi_profile=profile, snapshots=snaps, xi_from_rhs=xi[-1])
+    return SimulationResult(jta=final, xi_profile=profile, snapshots=snaps)
 
 
 def perturbative_oracle(

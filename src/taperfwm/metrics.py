@@ -112,25 +112,28 @@ def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
     return dlam_i - dlam_i_ec
 
 
+def _idler_spectrum(phi: JointAmplitude):
+    jsa = in_domain(phi, "frequency")
+    return phi.z, phi.grid, (np.abs(jsa.values) ** 2).sum(axis=0) * jsa.grid.dw
+
+
 def spectral_cumulative(snapshots, normalize: bool = True):
     """Per-z Idler marginal intensity of the evolving joint spectrum.
 
-    Returns (z_nodes, w_axis, map) with map[k] the Idler spectral intensity
-    at snapshot k; peak-normalized over the whole map when requested.
+    snapshots is any iterable of amplitudes, in either domain; each is
+    released before the next is drawn.  Returns (z_nodes, w_axis, map) with
+    map[k] the Idler spectral intensity at snapshot k; peak-normalized over
+    the whole map when requested.
     """
-    if len(snapshots) < 2:
+    rows = list(map(_idler_spectrum, snapshots))
+    if len(rows) < 2:
         raise ValueError("need at least two snapshots")
-    rows = []
-    zs = []
-    for snap in snapshots:
-        jsa = in_domain(snap, "frequency")
-        rows.append((np.abs(jsa.values) ** 2).sum(axis=0) * jsa.grid.dw)
-        zs.append(snap.z)
-    out = np.asarray(rows)
+    zs, grids, spectra = zip(*rows)
+    out = np.asarray(spectra)
     peak = out.max()
     if normalize and peak > 0:
         out = out / peak
-    return np.asarray(zs), snapshots[0].grid.w_axis, out
+    return np.asarray(zs), grids[0].w_axis, out
 
 
 def compute_metrics(result: SimulationResult, cfg: SourceConfig) -> MetricsReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,26 @@ def worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class WorkerPool:
+    """The workers of `tasks` independent runs: min(jobs or worker_count(),
+    tasks) processes, or this process alone below 2.  As a context manager
+    it joins the pool when the block ends, also when it raises."""
+
+    def __init__(self, tasks: int = 1, jobs: int = 0):
+        self.jobs = max(1, min(jobs or worker_count(), tasks))
+        self.pool = ProcessPoolExecutor(max_workers=self.jobs) if self.jobs > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def map(self, fn, items):
+        return map(fn, items) if self.pool is None else self.pool.map(fn, items)
 
 
 def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int = 0,

@@ -52,6 +52,57 @@ def test_simulate_dumps_every_requested_snapshot(cfg_path, tmp_path):
     assert len({r["z_over_L"] for r in _read_csv(out / "spectral_map.csv")}) == 5
 
 
+def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
+    from taperfwm import cli, jta, metrics
+
+    built = []
+    real_jta_to_jsa = jta.jta_to_jsa
+
+    def counted(phi):
+        built.append(phi.z)
+        return real_jta_to_jsa(phi)
+
+    for module in (cli, jta, metrics):
+        monkeypatch.setattr(module, "jta_to_jsa", counted)
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-jsa",
+                 "--snapshots", "4"]) == 0
+    # four distinct states; the last snapshot is the final state, whose JSA
+    # the metrics built
+    assert len(built) == len(set(built)) == 4
+    assert len(list(out.glob("snapshot_*_jsa.cjm1"))) == 4
+    assert (out / "snapshot_003_jsa.cjm1").read_bytes() == (out / "final_jsa.cjm1").read_bytes()
+
+
+def test_dump_pumps_releases_the_trace_before_the_metrics(cfg_path, tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    from taperfwm import cli, simulate
+
+    traces, alive = [], []
+    real_run_source = cli.run_source
+    real_compute_metrics = simulate.compute_metrics
+
+    def run_source(cfg, **kw):
+        out = real_run_source(cfg, **kw)
+        traces.append(weakref.ref(out.pump_trace))
+        return out
+
+    def compute_metrics(result, cfg):
+        gc.collect()
+        alive.append(traces[0]() is not None)
+        return real_compute_metrics(result, cfg)
+
+    monkeypatch.setattr(cli, "run_source", run_source)
+    monkeypatch.setattr(simulate, "compute_metrics", compute_metrics)
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-pumps"]) == 0
+    assert alive == [False]
+    assert sorted(p.name for p in out.glob("pumps_z*.csv")) == ["pumps_z00000.csv",
+                                                                "pumps_z00100.csv"]
+
+
 @pytest.mark.parametrize("count", ["1", "-2", "102"])
 def test_simulate_bad_snapshot_count_exits_2(cfg_path, tmp_path, count):
     assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "out"),
@@ -91,6 +142,24 @@ def test_sweep_tau_monotone_signal_shift(cfg_path, tmp_path):
     assert np.all(np.diff(dlam) >= -0.1 * span)
 
 
+def test_power_sweep_rows_equal_single_runs(cfg_path, tmp_path):
+    from taperfwm import run_source
+    from taperfwm.io import SWEEP_COLUMNS
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "avg_power",
+                 "--from", "0.5e-3", "--to", "2e-3", "--steps", "3", "--jobs", "2"]) == 0
+    rows = _read_csv(out / "sweep.csv")
+    cfg = table1_config(numerics=FAST)
+    powers = np.linspace(0.5e-3, 2e-3, 3)
+    assert [r["value"] for r in rows] == [f"{p:.17g}" for p in powers]
+    for row, power in zip(rows, powers):
+        m = run_source(cfg.replace(pump={"avg_power": float(power)})).metrics.to_dict()
+        assert row["status"] == "ok"
+        assert {k: row[k] for k in SWEEP_COLUMNS[4:-1]} == {k: f"{m[k]:.17g}"
+                                                             for k in SWEEP_COLUMNS[4:-1]}
+
+
 def test_sweep_error_rows_do_not_abort(cfg_path, tmp_path):
     tm = tau_max_of(table1_config())
     out = tmp_path / "sweep"
@@ -128,7 +197,7 @@ def test_pair_optimize(cfg_path, tmp_path):
 
 
 def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkeypatch):
-    from taperfwm import interference
+    from taperfwm import interference, simulate
 
     taus = []
     real_run_source = interference.run_source
@@ -138,7 +207,7 @@ def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkey
         return real_run_source(cfg, **kw)
 
     # one worker, so that every run is counted in this process
-    monkeypatch.setattr(interference, "worker_count", lambda: 1)
+    monkeypatch.setattr(simulate, "worker_count", lambda: 1)
     monkeypatch.setattr(interference, "run_source", counted)
     assert main(["pair", "-c1", str(cfg_path), "-c2", str(cfg_path), "-o", str(tmp_path / "pair"),
                  "--optimize"]) == 0
@@ -287,7 +356,7 @@ def test_simulate_reports_validation_warnings(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_workers_capped_at_points(cfg_path, tmp_path, monkeypatch):
-    from taperfwm import cli
+    from taperfwm import simulate
 
     pools = []
 
@@ -297,17 +366,14 @@ def test_sweep_workers_capped_at_points(cfg_path, tmp_path, monkeypatch):
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait, cancel_futures):
+            pass
 
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "worker_count", lambda: 8)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulate, "worker_count", lambda: 8)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
     tm = tau_max_of(table1_config())
     out = tmp_path / "sweep"
     assert main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "tau",

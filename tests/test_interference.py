@@ -20,7 +20,8 @@ from taperfwm.interference import (
 )
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import arrival_times, heralded_purity
-from taperfwm.simulate import ValidationFailure
+from taperfwm import simulate
+from taperfwm.simulate import ValidationFailure, WorkerPool
 
 T0 = 0.8e-12
 FAST = {"n_t": 64, "n_z": 100}
@@ -150,12 +151,12 @@ def test_optimizer_beats_center(fast_cfg):
 
 
 def _serial(monkeypatch):
-    monkeypatch.setattr(interference, "worker_count", lambda: 1)
+    monkeypatch.setattr(simulate, "worker_count", lambda: 1)
 
 
 def _pooled(monkeypatch):
     # two workers even on a single CPU, so that the pool path is exercised
-    monkeypatch.setattr(interference, "worker_count", lambda: 2)
+    monkeypatch.setattr(simulate, "worker_count", lambda: 2)
 
 
 def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
@@ -316,7 +317,7 @@ def test_shared_pump_trace_matches_separate_runs():
     caches = [SourceCache(MOVING_PAIR.replace(geometry={"width_offset": w}))
               for w in (0.0, 60e-9)]
     taus = [tau_max_of(MOVING_PAIR) * (i / 160) for i in range(0, 161, 16)]
-    interference._fill(interference._Workers(), [(c, t) for c in caches for t in taus])
+    interference._fill(WorkerPool(), [(c, t) for c in caches for t in taus])
     for cache in caches:
         for tau in taus:
             alone = run_source(cache.cfg.replace(pump={"tau": tau})).result.jta

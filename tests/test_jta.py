@@ -72,7 +72,7 @@ def test_xi_profile_shape_and_positivity(fast_run):
 def test_xi_rhs_bookkeeping(fast_run):
     # cumulative loss/source accounting must reproduce the final norm
     res = fast_run.result
-    assert res.xi_from_rhs == pytest.approx(res.jta.norm_sq, rel=1e-10)
+    assert res.xi_profile.xi[-1] == pytest.approx(res.jta.norm_sq, rel=1e-10)
 
 
 def test_generation_rises_after_match_point(fast_run):
