@@ -11,7 +11,6 @@ from .config import (
     MismatchModel,
     NumericsSpec,
     Grid,
-    PhysicalConstants,
     RunParams,
     ValidationReport,
     ConfigWarning,

@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from .analytic import erf_xi_profile, fit_erf, sigma_z_analytic
 from .config import ConfigError, SourceConfig, derive_run_params, load_config
-from .interference import SourceCache, evaluate_pair, optimize_delays
+from .interference import evaluate_pair, optimize_delays
 from .jta import JointAmplitude, jta_to_jsa, snapshot_nodes
 from .metrics import spectral_cumulative
 from .pumps import PropagationError
@@ -122,16 +122,14 @@ def cmd_pair(args) -> int:
     cfg1 = load_config(args.config1)
     cfg2 = load_config(args.config2)
     writer = io.ArtifactWriter("pair", args.output, [cfg1, cfg2])
-    # equal configurations share one cache, so each delay is simulated once
-    src1 = SourceCache(cfg1)
-    sources = (src1, src1 if cfg2 == cfg1 else SourceCache(cfg2))
-    raw = evaluate_pair(cfg1, cfg2, sources)
+    runs = {}  # the raw pair's runs, reused by the optimizer
+    raw = evaluate_pair(cfg1, cfg2, runs)
     doc = {
         "raw": {"v_rhom": raw.v_rhom, "v_hhom": raw.v_hhom,
                 "shift_s": raw.shift_s, "shift_i": raw.shift_i},
     }
     if args.optimize:
-        opt = optimize_delays(cfg1, cfg2, objective=args.objective, sources=sources)
+        opt = optimize_delays(cfg1, cfg2, objective=args.objective, runs=runs)
         doc["optimized"] = {
             "objective": args.objective,
             "v_rhom": opt.v_rhom,

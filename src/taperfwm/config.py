@@ -16,17 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    c: float = 299792458.0          # m/s
-    ln10: float = math.log(10.0)
-
-    def __post_init__(self):
-        if self.c <= 0 or self.ln10 <= 0:
-            raise ValueError("physical constants must be strictly positive")
-
-
-CONSTANTS = PhysicalConstants()
+C_LIGHT = 299792458.0  # m/s, speed of light in vacuum
 
 
 @dataclass(frozen=True)
@@ -211,11 +201,11 @@ class RunParams:
 
 def dbcm_to_per_m(alpha_db_cm: float) -> float:
     """Power loss dB/cm -> 1/m."""
-    return alpha_db_cm * (CONSTANTS.ln10 / 10.0) * 100.0
+    return alpha_db_cm * (math.log(10.0) / 10.0) * 100.0
 
 
 def per_m_to_dbcm(alpha_per_m: float) -> float:
-    return alpha_per_m / ((CONSTANTS.ln10 / 10.0) * 100.0)
+    return alpha_per_m / ((math.log(10.0) / 10.0) * 100.0)
 
 
 # effective duration of a gaussian pulse with unit intensity FWHM
@@ -353,6 +343,15 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
                 f"dispersion.{name}: |value| {abs(l_w):.3e} m differs from the "
                 f"velocity-implied {from_v:.3e} m; tabulated value is used"
             )
+
+    # the geometry reaches the source only through the mismatch coefficients
+    inert = [f"geometry.{name}" for name in ("taper_amplitude", "width_offset", "height_offset")
+             if getattr(g, name) != 0]
+    if inert and cfg.mismatch.c_kappa_w == 0 and cfg.mismatch.c_kappa_h == 0:
+        rep.warnings.append(
+            f"{', '.join(inert)} ignored: mismatch.c_kappa_w and c_kappa_h are both 0 "
+            '(the "table1" defaults calibrate them)'
+        )
 
     return rep
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SourceConfig, derive_run_params
+from .config import C_LIGHT, SourceConfig, derive_run_params
 from .jta import JointAmplitude
 from .metrics import arrival_times
 from .spectral import omega_axis, shift_multiplier
@@ -140,30 +140,11 @@ def delay_line_requirements(delta_t: float, wavelength: float = 1550e-9,
     """Interferometric delay-line sizing for a tunable range delta_t."""
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")
-    from .config import CONSTANTS
-
-    fsr = 2.0 * wavelength**2 / (CONSTANTS.c * delta_t)
+    fsr = 2.0 * wavelength**2 / (C_LIGHT * delta_t)
     bw = 1.27 * fsr / 2.0
     arm = group_velocity * (rest_delay - bias_delay) if group_velocity else 0.0
     return DelayLineSpec(delta_t=delta_t, fsr=fsr, bw_3db=bw,
                          bias_delay=bias_delay, arm_length_diff=arm)
-
-
-class SourceCache:
-    """Memoizes the simulated JTA of one source configuration per tau.
-
-    One cache per source can be shared by evaluate_pair and optimize_delays
-    so that no (configuration, tau) is simulated twice.
-    """
-
-    def __init__(self, cfg: SourceConfig):
-        self.cfg = cfg
-        self._runs = {}
-
-    def jta(self, tau: float) -> JointAmplitude:
-        """The JTA at tau; a miss is simulated in this process."""
-        _fill(WorkerPool(), [(self, tau)])
-        return self._runs[float(tau)]
 
 
 def _source_jtas(cfgs) -> list:
@@ -174,37 +155,23 @@ def _source_jtas(cfgs) -> list:
     return [out.result.jta for out in (first, *rest)]
 
 
-def _fill(workers: WorkerPool, requests):
-    """Simulate every (cache, tau) of requests that is not cached yet, as
-    one batch.
+def _fill(workers: WorkerPool, runs: dict, cfgs):
+    """Simulate, as one batch, every configuration of cfgs that runs lacks,
+    and store its JTA in runs under that configuration.
 
     Runs with one pumps.trace_key form one task, which propagates the pumps
     once.  A batch with fewer such groups than workers runs every source as
     a task of its own instead, so that no worker idles: the raw pair's two
     runs, at one tau, stay parallel."""
-    todo = {}
-    for cache, tau in requests:
-        key = float(tau)
-        if key not in cache._runs:
-            todo[id(cache), key] = (cache, key, cache.cfg.replace(pump={"tau": key}))
+    todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in runs]
     groups = {}
-    for cache, key, cfg in todo.values():
-        groups.setdefault(trace_key(cfg), []).append((cache, key, cfg))
+    for cfg in todo:
+        groups.setdefault(trace_key(cfg), []).append(cfg)
     tasks = list(groups.values())
     if len(tasks) < workers.jobs:
-        tasks = [[run] for run in todo.values()]
-    jtas = workers.map(_source_jtas, [[cfg for _, _, cfg in task] for task in tasks])
-    for task, task_jtas in zip(tasks, jtas):
-        for (cache, key, _), jta in zip(task, task_jtas):
-            cache._runs[key] = jta
-
-
-def _source_caches(cfg1, cfg2, sources):
-    if sources is None:
-        return SourceCache(cfg1), SourceCache(cfg2)
-    if sources[0].cfg != cfg1 or sources[1].cfg != cfg2:
-        raise ValueError("source caches belong to other configurations")
-    return sources
+        tasks = [[cfg] for cfg in todo]
+    for task, jtas in zip(tasks, workers.map(_source_jtas, tasks)):
+        runs.update(zip(task, jtas))
 
 
 # compensating delays in a pair study can be several pulse widths; the
@@ -224,22 +191,26 @@ def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom")):
     return vis, phi2_shifted, ds, di
 
 
-def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig,
-                  sources: tuple[SourceCache, SourceCache] | None = None) -> PairStudy:
+def _study(cfg1, cfg2, runs, **optimum) -> PairStudy:
+    """Both visibilities of two simulated configurations, source 2 shifted
+    to the arrival times of source 1."""
+    phi1, phi2 = runs[cfg1], runs[cfg2]
+    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, cfg1.pump.t0_fwhm)
+    return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s, shift_s=ds, shift_i=di,
+                     v_rhom=vis["rhom"], v_hhom=vis["hhom"], **optimum)
+
+
+def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig, runs: dict | None = None) -> PairStudy:
     """Visibilities of the two sources as configured (arrival-time
     compensation applied, no delay optimization).
 
-    sources, one SourceCache per configuration, lets a later
-    optimize_delays reuse the two runs."""
-    t0 = cfg1.pump.t0_fwhm
-    src1, src2 = _source_caches(cfg1, cfg2, sources)
+    runs maps each simulated configuration, its tau included, to its JTA:
+    the pair reuses the runs it holds and adds its own, so that a later
+    optimize_delays with the same dict simulates neither again."""
+    runs = {} if runs is None else runs
     with WorkerPool(2) as workers:
-        _fill(workers, [(src1, cfg1.pump.tau), (src2, cfg2.pump.tau)])
-    phi1 = src1.jta(cfg1.pump.tau)
-    phi2 = src2.jta(cfg2.pump.tau)
-    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
-    return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s,
-                     shift_s=ds, shift_i=di, v_rhom=vis["rhom"], v_hhom=vis["hhom"])
+        _fill(workers, runs, (cfg1, cfg2))
+    return _study(cfg1, cfg2, runs)
 
 
 # the compass search refines the delays to tau_max / _RESOLUTION
@@ -247,24 +218,23 @@ _RESOLUTION = 200
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
-                    coarse_points: int = 11,
-                    sources: tuple[SourceCache, SourceCache] | None = None) -> PairStudy:
+                    coarse_points: int = 11, runs: dict | None = None) -> PairStudy:
     """Search (tau1, tau2) maximizing the chosen visibility.
 
     Coarse grid over [0, tau_max]^2, then compass pattern search refined to
     tau_max/200; ties break toward the symmetric midpoint delay.  Every
     delay is a point tau_max * i/n of one lattice, so that a point reached
-    twice is the same float and is simulated once.  sources (one
-    SourceCache per configuration) reuses runs made earlier, for instance
-    by evaluate_pair.
+    twice is the same float and is simulated once.  runs, as in
+    evaluate_pair, holds the runs made earlier and receives the new ones;
+    equal configurations share their runs.
     """
     if objective not in ("rhom", "hhom"):
         raise ValueError("objective must be 'rhom' or 'hhom'")
     if coarse_points < 2:
         raise ValueError("coarse_points must be >= 2")
+    runs = {} if runs is None else runs
     t0 = cfg1.pump.t0_fwhm
     tau_max = derive_run_params(cfg1).tau_max
-    src1, src2 = _source_caches(cfg1, cfg2, sources)
     # the first compass step, s0 cells, is half the coarse spacing; it
     # halves down to one cell, the smallest step not below the resolution.
     # n is even, and the lattice point n/2 is exactly tau_max/2
@@ -279,10 +249,12 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     def tau(i):
         return tau_max * (i / n)
 
+    def at(cfg, i):
+        return cfg.replace(pump={"tau": tau(i)})
+
     def measure(i, j):
         if (i, j) not in obj_cache:
-            phi1 = src1.jta(tau(i))
-            phi2 = src2.jta(tau(j))
+            phi1, phi2 = runs[at(cfg1, i)], runs[at(cfg2, j)]
             try:
                 v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,))[0][objective]
             except ValueError:
@@ -310,10 +282,9 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     # only at b2 +- step, with (b1, b2) the best point at the round's start
     coarse = range(0, n + 1, 2 * s0)
     best = (mid, mid)
-    batch = [(src1, tau(mid)), (src2, tau(mid))] + [(src, tau(i)) for src in (src1, src2)
-                                                    for i in coarse]
+    batch = [at(cfg1, mid), at(cfg2, mid)] + [at(cfg, i) for cfg in (cfg1, cfg2) for i in coarse]
     with WorkerPool(len(batch)) as workers:
-        _fill(workers, batch)
+        _fill(workers, runs, batch)
         best_v = measure(*best)
         for i in coarse:
             for j in coarse:
@@ -323,8 +294,8 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
 
         step = s0
         while _RESOLUTION * step >= n:
-            _fill(workers, [(src, tau(clip(b + d))) for src, b in zip((src1, src2), best)
-                            for d in (step, -step)])
+            _fill(workers, runs, [at(cfg, clip(b + d)) for cfg, b in zip((cfg1, cfg2), best)
+                                  for d in (step, -step)])
             moved = False
             for di, dj in ((step, 0), (-step, 0), (0, step), (0, -step)):
                 cand = (clip(best[0] + di), clip(best[1] + dj))
@@ -337,20 +308,5 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
             if not moved:
                 step //= 2
 
-    tau1, tau2 = tau(best[0]), tau(best[1])
-    phi1 = src1.jta(tau1)
-    phi2 = src2.jta(tau2)
-    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, t0)
-    return PairStudy(
-        cfg1=cfg1.replace(pump={"tau": tau1}),
-        cfg2=cfg2.replace(pump={"tau": tau2}),
-        phi1=phi1,
-        phi2=phi2s,
-        shift_s=ds,
-        shift_i=di,
-        v_rhom=vis["rhom"],
-        v_hhom=vis["hhom"],
-        optimal_tau1=tau1,
-        optimal_tau2=tau2,
-        candidates=candidates,
-    )
+    return _study(at(cfg1, best[0]), at(cfg2, best[1]), runs, optimal_tau1=tau(best[0]),
+                  optimal_tau2=tau(best[1]), candidates=candidates)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import CONSTANTS, DispersionSet, SourceConfig
+from .config import C_LIGHT, DispersionSet, SourceConfig
 from .jta import JointAmplitude, SimulationResult, jsa_to_jta, jta_to_jsa, sum_abs2
 
 
@@ -66,7 +66,7 @@ def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     w = jsa.grid.w_axis
     mean_ws = float(np.dot(w, ms) / tot_s)
     mean_wi = float(np.dot(w, mi) / tot_i)
-    conv = 1.0 / (2.0 * np.pi * CONSTANTS.c * t0_fwhm)
+    conv = 1.0 / (2.0 * np.pi * C_LIGHT * t0_fwhm)
     dlam_s = -disp.lam_s**2 * conv * mean_ws
     dlam_i = -disp.lam_i**2 * conv * mean_wi
     return dlam_s, dlam_i

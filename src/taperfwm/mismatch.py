@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CONSTANTS, DispersionSet, MismatchModel, SourceConfig
+from .config import C_LIGHT, DispersionSet, MismatchModel, SourceConfig
 
 
 def calibrate_mismatch(dlam_dw: float, dlam_dh: float, disp: DispersionSet) -> MismatchModel:
@@ -23,7 +23,7 @@ def calibrate_mismatch(dlam_dw: float, dlam_dh: float, disp: DispersionSet) -> M
     inv_v_diff = 1.0 / disp.v_s - 1.0 / disp.v_i
     if inv_v_diff == 0.0:
         raise ValueError("calibration impossible: degenerate Signal/Idler walk-off")
-    scale = -inv_v_diff * (2.0 * np.pi * CONSTANTS.c / disp.lam_s**2)
+    scale = -inv_v_diff * (2.0 * np.pi * C_LIGHT / disp.lam_s**2)
     return MismatchModel(
         c_kappa_w=scale * (dlam_dw * 1e-9 / 1e-6),
         c_kappa_h=scale * (dlam_dh * 1e-9 / 1e-9),

@@ -20,7 +20,6 @@ from taperfwm import run_source, table1_config
 from taperfwm.analytic import fit_erf
 from taperfwm.config import Grid, NumericsSpec, derive_run_params, tau_max_of
 from taperfwm.interference import (
-    SourceCache,
     delay_line_requirements,
     evaluate_pair,
     hhom_visibility,
@@ -42,11 +41,12 @@ HIGH = {"n_t": 512, "n_z": 2000}   # reference-purity study at desk scale
 _cache = {}
 
 
-def _run(key, cfg):
-    """Memoize full simulations shared between criteria."""
-    if key not in _cache:
-        _cache[key] = run_source(cfg)
-    return _cache[key]
+def _run(cfg):
+    """Memoize full simulations shared between criteria, keyed by the
+    configuration: criteria that ask for one configuration share its run."""
+    if cfg not in _cache:
+        _cache[cfg] = run_source(cfg)
+    return _cache[cfg]
 
 
 def _report(num, checks):
@@ -60,7 +60,7 @@ def _report(num, checks):
 
 def test_criterion_01_reference_purity():
     cfg = table1_config(numerics=HIGH, geometry={"taper_amplitude": 0.0})
-    p = _run("c1", cfg).metrics.purity
+    p = _run(cfg).metrics.purity
     _report(1, [(0.993 <= p <= 1.0, f"untapered purity {p:.5f} vs 0.998+-0.005")])
 
 
@@ -68,7 +68,7 @@ def test_criterion_02_purity_vs_taper():
     checks = []
     for dw, target, tol in ((0.08e-6, 0.98, 0.01), (0.25e-6, 0.91, 0.02)):
         cfg = table1_config(numerics=STUDY, geometry={"taper_amplitude": dw})
-        p = _run(f"taper{dw:.2e}", cfg).metrics.purity
+        p = _run(cfg).metrics.purity
         checks.append((abs(p - target) <= tol,
                        f"dw={dw * 1e6:.2f}um purity {p:.4f} vs {target}+-{tol}"))
     _report(2, checks)
@@ -81,8 +81,7 @@ def _tuning_curve(dw, avg_power=1e-3, fracs=np.linspace(0.0, 1.0, 6)):
     tm = tau_max_of(cfg)
     out = []
     for f in fracs:
-        key = f"tune{dw:.2e}p{avg_power:.1e}f{f:.3f}"
-        m = _run(key, cfg.replace(pump={"tau": f * tm})).metrics
+        m = _run(cfg.replace(pump={"tau": f * tm})).metrics
         out.append((m.dlam_s * 1e9, m.dlam_i * 1e9))
     return np.asarray(out)
 
@@ -107,7 +106,7 @@ def test_criterion_04_generation_localization():
     loss = rp.alpha_m["s"] + rp.alpha_m["i"]
     checks = []
     for frac in (0.25, 0.5, 0.75):
-        out = _run(f"loc{frac}", cfg0.replace(pump={"tau": frac * tm}))
+        out = _run(cfg0.replace(pump={"tau": frac * tm}))
         fit = fit_erf(out.result.xi_profile, loss_rate=loss)
         checks.append((abs(fit.l_match_fit / L - frac) <= 0.02,
                        f"tau={frac}taumax match point {fit.l_match_fit / L:.3f}L"))
@@ -118,7 +117,7 @@ def test_criterion_04_generation_localization():
 
 def test_criterion_05_absolute_xi_and_power_scaling():
     cfg = table1_config(numerics=STUDY)
-    xi = {p: _run(f"pow{p:.2e}", cfg.replace(pump={"avg_power": p})).metrics.xi
+    xi = {p: _run(cfg.replace(pump={"avg_power": p})).metrics.xi
           for p in (5e-5, 1e-4, 2e-4, 1e-3, 2e-3)}
     checks = [(0.05 <= xi[1e-3] <= 0.2, f"xi(1mW)={xi[1e-3]:.4f} in [0.05,0.2]")]
     quad = np.array([xi[p] / p**2 for p in (5e-5, 1e-4, 2e-4)])
@@ -131,7 +130,7 @@ def test_criterion_05_absolute_xi_and_power_scaling():
 
 def test_criterion_06_identical_source_hhom():
     cfg = table1_config(numerics=STUDY, geometry={"taper_amplitude": 0.25e-6})
-    phi = _run("taper2.50e-07", cfg).result.jta
+    phi = _run(cfg).result.jta
     v = hhom_visibility(phi, phi)
     checks = [(abs(v - 0.93) <= 0.02, f"identical-source V_HHOM {v:.4f} vs 0.93+-0.02")]
     g = Grid.from_numerics(NumericsSpec(n_t=32, t_window=(-8.0, 8.0)))
@@ -148,21 +147,21 @@ def test_criterion_06_identical_source_hhom():
 def test_criterion_07_height_error_study():
     cfg1 = table1_config(numerics=PAIR, geometry={"taper_amplitude": 0.25e-6})
     cfg2 = cfg1.replace(geometry={"height_offset": 1e-9})
-    # one cache per source configuration: the tau values of source 1 recur
-    # across the three studies, and no (configuration, tau) runs twice
-    src1, src2 = SourceCache(cfg1), SourceCache(cfg2)
-    raw = evaluate_pair(cfg1, cfg2, (src1, src2))
+    # one store of runs: the tau values of source 1 recur across the three
+    # studies, and no (configuration, tau) runs twice
+    runs = {}
+    raw = evaluate_pair(cfg1, cfg2, runs)
     checks = [
         (abs(raw.v_rhom - 0.89) <= 0.05, f"raw V_RHOM(1nm) {raw.v_rhom:.4f} vs 0.89+-0.05"),
         (abs(raw.v_hhom - 0.81) <= 0.05, f"raw V_HHOM(1nm) {raw.v_hhom:.4f} vs 0.81+-0.05"),
     ]
-    opt = optimize_delays(cfg1, cfg2, sources=(src1, src2))
+    opt = optimize_delays(cfg1, cfg2, runs=runs)
     checks.append((opt.v_rhom > 0.995, f"optimized V_RHOM(1nm) {opt.v_rhom:.4f} > 0.995"))
-    equal = evaluate_pair(cfg1, cfg1, (src1, src1))
+    equal = evaluate_pair(cfg1, cfg1, runs)
     deg = (equal.v_hhom - opt.v_hhom) / equal.v_hhom
     checks.append((deg < 5e-3, f"optimized V_HHOM degradation {deg * 1e2:.2f}% < 0.5%"))
     cfg3 = cfg1.replace(geometry={"height_offset": 4.3e-9})
-    opt43 = optimize_delays(cfg1, cfg3, sources=(src1, SourceCache(cfg3)))
+    opt43 = optimize_delays(cfg1, cfg3, runs=runs)
     checks.append((opt43.v_rhom > 0.95, f"optimized V_RHOM(4.3nm) {opt43.v_rhom:.4f} > 0.95"))
     _report(7, checks)
 
@@ -171,8 +170,8 @@ def test_criterion_08_width_error_study():
     cfg1 = table1_config(numerics=STUDY, geometry={"taper_amplitude": 0.1e-6})
     cfg2 = cfg1.replace(geometry={"width_offset": 60e-9})
     # source 1 is shared by every study, source 2 by the raw and 60 nm ones
-    src1, src2 = SourceCache(cfg1), SourceCache(cfg2)
-    raw = evaluate_pair(cfg1, cfg2, (src1, src2))
+    runs = {}
+    raw = evaluate_pair(cfg1, cfg2, runs)
     checks = [
         (abs(raw.v_rhom - 0.92) <= 0.05, f"raw V_RHOM(60nm) {raw.v_rhom:.4f} vs 0.92+-0.05"),
         (abs(raw.v_hhom - 0.88) <= 0.05, f"raw V_HHOM(60nm) {raw.v_hhom:.4f} vs 0.88+-0.05"),
@@ -182,7 +181,7 @@ def test_criterion_08_width_error_study():
     opt60 = None
     for dw in dws:
         cfg = cfg1.replace(geometry={"width_offset": dw})
-        opt = optimize_delays(cfg1, cfg, sources=(src1, src2 if cfg == cfg2 else SourceCache(cfg)))
+        opt = optimize_delays(cfg1, cfg, runs=runs)
         t1.append(opt.optimal_tau1)
         t2.append(opt.optimal_tau2)
         opt60 = opt
@@ -215,9 +214,8 @@ def test_criterion_09_xpm_tunability():
     tm = tau_max_of(cfg)
 
     def ec(p, f):
-        key = f"ec{p:.1e}f{f}"
         c = cfg.replace(pump={"avg_power": p, "tau": f * tm})
-        return _run(key, c).metrics.ec_deviation * 1e9
+        return _run(c).metrics.ec_deviation * 1e9
 
     dev_1mw = max(abs(ec(1e-3, f) - ec(1e-5, f)) for f in (0.25, 0.5, 0.7))
     checks.append((dev_1mw <= 0.1,
@@ -231,7 +229,7 @@ def test_criterion_09_xpm_tunability():
 def test_criterion_10_property_suite():
     checks = []
     fast = table1_config(numerics={"n_t": 64, "n_z": 100})
-    out = _run("fast", fast)
+    out = _run(fast)
     phi = out.result.jta
     jsa = jta_to_jsa(phi)
     dp = abs(jsa.integrate_norm() / phi.integrate_norm() - 1.0)
@@ -270,7 +268,7 @@ def test_criterion_10_property_suite():
     worst = 0.0
     for frac in (0.25, 0.5, 0.75):
         c = cfg.replace(pump={"tau": frac * tm})
-        m = _run(f"arr{frac}", c).metrics
+        m = _run(c).metrics
         ts, ti = analytic_arrival_times(c)
         worst = max(worst, abs(m.arrival_mean_s - ts), abs(m.arrival_mean_i - ti))
     checks.append((worst <= 0.2 * T0,

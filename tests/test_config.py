@@ -199,6 +199,24 @@ def test_load_config_emits_validation_warnings(tmp_path):
         load_config(p)
 
 
+def _config_warnings(tmp_path, doc):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    with pytest.warns(ConfigWarning) as record:
+        load_config(p)
+    return [str(w.message) for w in record]
+
+
+def test_geometry_without_mismatch_coefficients_warns(tmp_path):
+    # the built-in defaults have zero mismatch coefficients: a taper there
+    # changes nothing, while the table-1 preset calibrates the coefficients
+    taper = {"geometry": {"taper_amplitude": 0.25e-6}}
+    bare = _config_warnings(tmp_path, taper)
+    assert any("geometry.taper_amplitude ignored" in m for m in bare)
+    calibrated = _config_warnings(tmp_path, {"defaults": "table1", **taper})
+    assert not any("geometry." in m for m in calibrated)
+
+
 def test_numerics_window_is_a_tuple():
     spec = NumericsSpec(t_window=[-4.0, 12.0])
     assert spec.t_window == (-4.0, 12.0)

@@ -9,7 +9,6 @@ import pytest
 from taperfwm import interference, run_source, table1_config
 from taperfwm.config import tau_max_of
 from taperfwm.interference import (
-    SourceCache,
     align_arrival_times,
     apply_time_shift,
     delay_line_requirements,
@@ -159,6 +158,19 @@ def _pooled(monkeypatch):
     monkeypatch.setattr(simulate, "worker_count", lambda: 2)
 
 
+def _count_runs(monkeypatch):
+    """The configuration, tau included, of every source run in this process."""
+    runs = []
+    real_run_source = interference.run_source
+
+    def counted(cfg, **kw):
+        runs.append(cfg)
+        return real_run_source(cfg, **kw)
+
+    monkeypatch.setattr(interference, "run_source", counted)
+    return runs
+
+
 def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     # run_source is counted in this process, so the runs must stay in it
     _serial(monkeypatch)
@@ -166,17 +178,10 @@ def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     raw_alone = evaluate_pair(fast_cfg, cfg2)
     opt_alone = optimize_delays(fast_cfg, cfg2, coarse_points=3)
 
-    runs = []
-    real_run_source = interference.run_source
-
-    def counted(cfg, **kw):
-        runs.append((cfg.geometry.height_offset, cfg.pump.tau))
-        return real_run_source(cfg, **kw)
-
-    monkeypatch.setattr(interference, "run_source", counted)
-    sources = (SourceCache(fast_cfg), SourceCache(cfg2))
-    raw = evaluate_pair(fast_cfg, cfg2, sources)
-    opt = optimize_delays(fast_cfg, cfg2, coarse_points=3, sources=sources)
+    runs = _count_runs(monkeypatch)
+    store = {}
+    raw = evaluate_pair(fast_cfg, cfg2, store)
+    opt = optimize_delays(fast_cfg, cfg2, coarse_points=3, runs=store)
 
     # the raw pair sits at tau_max/2, the optimizer's start point: every
     # run is distinct and the raw runs are not repeated
@@ -187,10 +192,25 @@ def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     assert (opt.v_rhom, opt.v_hhom) == (opt_alone.v_rhom, opt_alone.v_hhom)
 
 
-def test_source_caches_must_match_configs(fast_cfg):
-    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
-    with pytest.raises(ValueError):
-        evaluate_pair(fast_cfg, cfg2, (SourceCache(cfg2), SourceCache(fast_cfg)))
+def test_equal_configs_share_one_store(monkeypatch, fast_cfg):
+    # the two sources of a pair of one configuration are one run per delay,
+    # and the optimizer reuses the raw pair's run at tau_max/2
+    _serial(monkeypatch)
+    runs = _count_runs(monkeypatch)
+    store = {}
+    raw = evaluate_pair(fast_cfg, fast_cfg, store)
+    opt = optimize_delays(fast_cfg, fast_cfg, coarse_points=3, runs=store)
+    assert len(runs) == len(set(runs)) == len(store)
+    assert raw.v_rhom == pytest.approx(1.0, abs=1e-12)
+    assert opt.v_rhom == pytest.approx(1.0, abs=1e-12)
+
+
+def test_equal_configs_without_a_store_simulate_each_delay_once(monkeypatch, fast_cfg):
+    _serial(monkeypatch)
+    runs = _count_runs(monkeypatch)
+    opt = optimize_delays(fast_cfg, fast_cfg, coarse_points=3)
+    assert len(runs) == len(set(runs))
+    assert {c[0] for c in opt.candidates} == {cfg.pump.tau for cfg in runs}
 
 
 def test_delay_line_formulas():
@@ -231,8 +251,8 @@ def test_optimizer_runs_no_metrics(monkeypatch, fast_cfg):
 
 def _optimize(monkeypatch, pool, cfg1, cfg2, **kw):
     (_pooled if pool else _serial)(monkeypatch)
-    sources = (SourceCache(cfg1), SourceCache(cfg2))
-    return optimize_delays(cfg1, cfg2, sources=sources, **kw), sources
+    runs = {}
+    return optimize_delays(cfg1, cfg2, runs=runs, **kw), runs
 
 
 # criterion 8's pair on the fast grid: its compass search moves, so some
@@ -242,28 +262,32 @@ MOVING_PAIR = table1_config(numerics=FAST, geometry={"taper_amplitude": 0.1e-6})
 
 def test_pool_and_serial_paths_agree_bitwise(monkeypatch):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    serial, serial_src = _optimize(monkeypatch, False, MOVING_PAIR, cfg2, coarse_points=5)
-    pooled, pooled_src = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
+    serial, serial_runs = _optimize(monkeypatch, False, MOVING_PAIR, cfg2, coarse_points=5)
+    pooled, pooled_runs = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
     assert pooled.candidates == serial.candidates
     assert (pooled.optimal_tau1, pooled.optimal_tau2) == (serial.optimal_tau1, serial.optimal_tau2)
     assert (pooled.v_rhom, pooled.v_hhom) == (serial.v_rhom, serial.v_hhom)
-    for a, b in zip(pooled_src, serial_src):
-        assert a._runs.keys() == b._runs.keys()
-        for tau in a._runs:
-            assert np.array_equal(a._runs[tau].values, b._runs[tau].values)
+    assert pooled_runs.keys() == serial_runs.keys()
+    for cfg in pooled_runs:
+        assert np.array_equal(pooled_runs[cfg].values, serial_runs[cfg].values)
 
 
 def _record_fills(monkeypatch):
-    """The requests of every _fill call, in call order."""
+    """The configurations of every _fill call, in call order."""
     calls = []
     real_fill = interference._fill
 
-    def recorded(workers, requests):
-        calls.append(list(requests))
-        return real_fill(workers, requests)
+    def recorded(workers, runs, cfgs):
+        calls.append(list(cfgs))
+        return real_fill(workers, runs, cfgs)
 
     monkeypatch.setattr(interference, "_fill", recorded)
     return calls
+
+
+def _taus(runs, cfg):
+    """The delays at which the store holds a run of cfg."""
+    return {c.pump.tau for c in runs if c == cfg.replace(pump={"tau": c.pump.tau})}
 
 
 # coarse_points=5: delays tau_max * i/128, coarse grid every 32 cells,
@@ -275,15 +299,17 @@ LATTICE_CELLS = 128
 def test_runs_are_lattice_points_near_candidates(monkeypatch, pool):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
     calls = _record_fills(monkeypatch)
-    study, (src1, src2) = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2, coarse_points=5)
+    study, runs = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2, coarse_points=5)
+    taus1, taus2 = _taus(runs, MOVING_PAIR), _taus(runs, cfg2)
+    assert len(taus1) + len(taus2) == len(runs)
     lattice = {tau_max_of(MOVING_PAIR) * (i / LATTICE_CELLS) for i in range(LATTICE_CELLS + 1)}
-    assert set(src1._runs) | set(src2._runs) <= lattice
+    assert taus1 | taus2 <= lattice
     # a compass round batches the four neighbour runs of its start point;
     # a move within the round skips the neighbour opposite to it, which may
     # stay outside the candidates: on this path, fewer runs than rounds
     rounds = sum(1 for requests in calls if len(requests) == 4)
-    outside1 = set(src1._runs) - {c[0] for c in study.candidates}
-    outside2 = set(src2._runs) - {c[1] for c in study.candidates}
+    outside1 = taus1 - {c[0] for c in study.candidates}
+    outside2 = taus2 - {c[1] for c in study.candidates}
     assert rounds > 0
     assert len(outside1) + len(outside2) <= rounds
 
@@ -304,24 +330,24 @@ def test_no_source_tau_is_simulated_twice(monkeypatch):
         return real_run_source(cfg, **kw)
 
     monkeypatch.setattr(interference, "run_source", counted)
-    sources = (SourceCache(MOVING_PAIR), SourceCache(cfg2))
-    evaluate_pair(MOVING_PAIR, cfg2, sources)
-    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5, sources=sources)
+    store = {}
+    evaluate_pair(MOVING_PAIR, cfg2, store)
+    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5, runs=store)
     assert len(runs) == len(set(runs))
-    assert len(runs) == len(sources[0]._runs) + len(sources[1]._runs)
+    assert len(runs) == len(store)
 
 
 def test_shared_pump_trace_matches_separate_runs():
     # one serial batch groups the two geometries by pump trace at each of
     # the default 11 coarse delays, tau_max * i/160 for i = 0, 16, ..., 160
-    caches = [SourceCache(MOVING_PAIR.replace(geometry={"width_offset": w}))
-              for w in (0.0, 60e-9)]
     taus = [tau_max_of(MOVING_PAIR) * (i / 160) for i in range(0, 161, 16)]
-    interference._fill(WorkerPool(), [(c, t) for c in caches for t in taus])
-    for cache in caches:
-        for tau in taus:
-            alone = run_source(cache.cfg.replace(pump={"tau": tau})).result.jta
-            assert np.array_equal(cache._runs[tau].values, alone.values)
+    cfgs = [MOVING_PAIR.replace(geometry={"width_offset": w}, pump={"tau": t})
+            for w in (0.0, 60e-9) for t in taus]
+    runs = {}
+    interference._fill(WorkerPool(), runs, cfgs)
+    assert runs.keys() == set(cfgs)
+    for cfg in cfgs:
+        assert np.array_equal(runs[cfg].values, run_source(cfg).result.jta.values)
 
 
 def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
@@ -339,7 +365,7 @@ def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
     monkeypatch.setattr(simulate, "propagate_pumps", counted)
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
     optimize_delays(MOVING_PAIR, cfg2, coarse_points=5)
-    coarse_taus = {float(tau) for _, tau in calls[0]}
+    coarse_taus = {cfg.pump.tau for cfg in calls[0]}
     assert len(coarse_taus) == 5
     assert pumps_at_fill.count(1) == len(coarse_taus)
 

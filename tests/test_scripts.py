@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from taperfwm import interference
+from taperfwm import interference, simulate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,13 +16,23 @@ def test_pair_studies_offset_scan(tmp_path, monkeypatch):
     raw = {}
     real_evaluate_pair = interference.evaluate_pair
 
-    def recorded(cfg1, cfg2, sources=None):
-        study = real_evaluate_pair(cfg1, cfg2, sources)
+    def recorded(cfg1, cfg2, runs=None):
+        study = real_evaluate_pair(cfg1, cfg2, runs)
         raw[cfg2.geometry.height_offset] = study.v_rhom
         return study
 
-    # the script binds evaluate_pair when it runs, so it takes the wrapper
+    sources = []
+    real_run_source = interference.run_source
+
+    def counted(cfg, **kw):
+        sources.append(cfg)
+        return real_run_source(cfg, **kw)
+
+    # the script binds evaluate_pair when it runs, so it takes the wrapper;
+    # one worker, so that every source run is counted in this process
     monkeypatch.setattr(interference, "evaluate_pair", recorded)
+    monkeypatch.setattr(interference, "run_source", counted)
+    monkeypatch.setattr(simulate, "worker_count", lambda: 1)
     monkeypatch.setattr(sys, "argv", ["pair_studies.py", "-o", str(tmp_path), "--n-t", "64",
                                       "--n-z", "100", "--skip-optimize",
                                       "--offsets-nm", "0", "1"])
@@ -35,3 +45,5 @@ def test_pair_studies_offset_scan(tmp_path, monkeypatch):
         [raw[0.0], raw[1e-9]], abs=5e-7)
     assert raw[0.0] == pytest.approx(1.0, abs=1e-12)
     assert raw[1e-9] < 1.0
+    # source 1 and the 0 nm source 2 are one configuration, run once
+    assert len(sources) == 2
