@@ -29,7 +29,7 @@ def main():
     key = "height_offset" if args.error == "height" else "width_offset"
     cfg1 = table1_config(numerics={"n_t": args.n_t, "n_z": args.n_z},
                          geometry={"taper_amplitude": args.taper_um * 1e-6})
-    runs = {}  # every source run of the scan: source 1 is the same at every offset
+    runs = {}  # the source runs of the scan: source 1 is the same at every offset
     path = args.output / f"{args.error}_error.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -46,6 +46,8 @@ def main():
                 row += [f"{opt.v_rhom:.6f}", f"{opt.v_hhom:.6f}",
                         f"{opt.optimal_tau1 * 1e12:.3f}", f"{opt.optimal_tau2 * 1e12:.3f}"]
             w.writerow(row)
+            # the next offsets reuse source 1's runs only
+            runs = {cfg: jta for cfg, jta in runs.items() if cfg.replace(pump=cfg1.pump) == cfg1}
             print(f"{args.error} offset {off:.2f} nm: raw rhom={raw.v_rhom:.4f}"
                   + ("" if args.skip_optimize else f", opt rhom={row[3]}"))
     print(f"wrote {path}")

@@ -42,12 +42,12 @@ def _erf_model(z, plateau, l_match, sigma_z):
     return 0.5 * plateau * (1.0 + erf((z - l_match) / (np.sqrt(2.0) * sigma_z)))
 
 
-def fit_erf(xi_profile: XiProfile, loss_rate: float = 0.0, l_match_hint: float | None = None) -> ErfFit:
+def fit_erf(xi_profile: XiProfile, loss_rate: float = 0.0) -> ErfFit:
     """Least-squares erf fit of a cumulative generation profile.
 
     loss_rate (1/m, alpha_s + alpha_i) divides the post-generation
-    exponential decay out of the profile before fitting; l_match_hint sets
-    where that correction starts (defaults to the half-rise position).
+    exponential decay out of the profile before fitting, from the half-rise
+    position on.
     """
     from scipy.optimize import curve_fit
 
@@ -56,14 +56,14 @@ def fit_erf(xi_profile: XiProfile, loss_rate: float = 0.0, l_match_hint: float |
     if xi.max() <= 0:
         raise ValueError("cannot fit an all-zero profile")
 
-    if l_match_hint is None:
-        half = 0.5 * xi.max()
-        l_match_hint = float(z[np.searchsorted(xi, half)]) if xi[-1] >= half else float(z[-1])
+    # the half-rise position, also the first guess of l_match
+    half = 0.5 * xi.max()
+    z_half = float(z[np.searchsorted(xi, half)]) if xi[-1] >= half else float(z[-1])
     if loss_rate:
-        xi = xi * np.exp(loss_rate * np.clip(z - l_match_hint, 0.0, None))
+        xi = xi * np.exp(loss_rate * np.clip(z - z_half, 0.0, None))
 
     span = z[-1] - z[0]
-    p0 = (xi.max(), l_match_hint, 0.05 * span)
+    p0 = (xi.max(), z_half, 0.05 * span)
     popt, _ = curve_fit(_erf_model, z, xi, p0=p0, maxfev=20000)
     plateau, l_match, sigma_z = float(popt[0]), float(popt[1]), abs(float(popt[2]))
     resid = _erf_model(z, *popt) - xi

@@ -49,10 +49,9 @@ def _dump_matrices(writer: io.ArtifactWriter, stem: str, jta: JointAmplitude | N
 
 def _dump_pumps(writer: io.ArtifactWriter, trace):
     """pumps_z00000.csv and pumps_z<n_z>.csv: the launch and end envelopes."""
-    for k in (0, trace.n_z):
-        env = trace.envelopes_at(k)
-        writer.add(io.write_envelopes_csv(trace.grid.t_axis, env.a_p1, env.a_p2,
-                                          writer.path(f"pumps_z{k:05d}.csv")))
+    for e, k in enumerate((0, trace.n_z)):
+        writer.add(io.write_envelopes_csv(trace.grid.t_axis, trace.a_p1_ends[e],
+                                          trace.a_p2_ends[e], writer.path(f"pumps_z{k:05d}.csv")))
 
 
 def _snapshot_jsas(writer: io.ArtifactWriter, result, dump_jta: bool, dump_jsa: bool):

@@ -195,17 +195,12 @@ class RunParams:
     tau_max: float           # s, delay for a full pulse walk-through
     l_match: float           # m, pump collision point for cfg.pump.tau
     alpha_m: dict            # field -> power loss in 1/m
-    inv_l_w_s: float         # 1/m, signed Signal drift rate (dT/dz)
-    inv_l_w_i: float         # 1/m, signed Idler drift rate
+    drift: dict              # field -> signed drift rate dT/dz from pump 1's frame, 1/m
 
 
 def dbcm_to_per_m(alpha_db_cm: float) -> float:
     """Power loss dB/cm -> 1/m."""
     return alpha_db_cm * (math.log(10.0) / 10.0) * 100.0
-
-
-def per_m_to_dbcm(alpha_per_m: float) -> float:
-    return alpha_per_m / ((math.log(10.0) / 10.0) * 100.0)
 
 
 # effective duration of a gaussian pulse with unit intensity FWHM
@@ -231,7 +226,8 @@ def derive_run_params(cfg: SourceConfig) -> RunParams:
         "s": dbcm_to_per_m(d.alpha_s),
         "i": dbcm_to_per_m(d.alpha_i),
     }
-    # magnitudes from the tabulated walk-off lengths, signs from the velocities
+    # Signal and Idler drift rates: magnitudes from the tabulated walk-off
+    # lengths, signs from the velocities
     sign_s = math.copysign(1.0, 1.0 / d.v_s - 1.0 / d.v_p1)
     sign_i = math.copysign(1.0, 1.0 / d.v_i - 1.0 / d.v_p1)
     return RunParams(
@@ -241,8 +237,8 @@ def derive_run_params(cfg: SourceConfig) -> RunParams:
         tau_max=tmax,
         l_match=l_match,
         alpha_m=alpha_m,
-        inv_l_w_s=sign_s / abs(d.l_w_s),
-        inv_l_w_i=sign_i / abs(d.l_w_i),
+        drift={"p1": 0.0, "p2": 1.0 / d.l_w_p,
+               "s": sign_s / abs(d.l_w_s), "i": sign_i / abs(d.l_w_i)},
     )
 
 

@@ -20,8 +20,6 @@ class DelayLineSpec:
     delta_t: float          # s, tunable delay range
     fsr: float              # m
     bw_3db: float           # m
-    bias_delay: float = 0.0       # s
-    arm_length_diff: float = 0.0  # m
 
 
 @dataclass
@@ -134,17 +132,16 @@ def align_arrival_times(phi1: JointAmplitude, phi2: JointAmplitude, t0_fwhm: flo
     return apply_time_shift(phi2, shift_s, shift_i, t0_fwhm, wrap_tol=wrap_tol), shift_s, shift_i
 
 
-def delay_line_requirements(delta_t: float, wavelength: float = 1550e-9,
-                            bias_delay: float = 0.0, group_velocity: float = 0.0,
-                            rest_delay: float = 0.0) -> DelayLineSpec:
+# m, the wavelength at which the delay line is sized
+_DELAY_LINE_WAVELENGTH = 1550e-9
+
+
+def delay_line_requirements(delta_t: float) -> DelayLineSpec:
     """Interferometric delay-line sizing for a tunable range delta_t."""
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")
-    fsr = 2.0 * wavelength**2 / (C_LIGHT * delta_t)
-    bw = 1.27 * fsr / 2.0
-    arm = group_velocity * (rest_delay - bias_delay) if group_velocity else 0.0
-    return DelayLineSpec(delta_t=delta_t, fsr=fsr, bw_3db=bw,
-                         bias_delay=bias_delay, arm_length_diff=arm)
+    fsr = 2.0 * _DELAY_LINE_WAVELENGTH**2 / (C_LIGHT * delta_t)
+    return DelayLineSpec(delta_t=delta_t, fsr=fsr, bw_3db=1.27 * fsr / 2.0)
 
 
 def _source_jtas(cfgs) -> list:

@@ -92,7 +92,7 @@ def read_cjm1(path) -> np.ndarray:
 
 def _write_sidecar(phi: JointAmplitude, path: Path):
     g = phi.grid
-    axis = g.t_axis if phi.domain == "time" else np.fft.fftshift(np.fft.fftfreq(g.n, g.dt)) * 2.0 * np.pi
+    axis = g.t_axis if phi.domain == "time" else g.w_axis
     doc = {
         "domain": phi.domain,
         "z": phi.z,

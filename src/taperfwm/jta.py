@@ -17,7 +17,7 @@ import numpy as np
 from .config import Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
 from .pumps import PropagationError, PumpEnvelopes, PumpTrace
-from .spectral import omega_axis
+from .spectral import linear_exponents, omega_axis
 
 
 def sum_abs2(a: np.ndarray) -> float:
@@ -163,19 +163,6 @@ def source_term(
     raise ValueError(f"unknown source form {form!r}")
 
 
-def _axis_exponents(cfg: SourceConfig, grid: Grid, include_loss=True):
-    """Per-unit-length linear-operator exponents L_hat(w) for both axes
-    (the mismatch phase is carried by the source)."""
-    d, num = cfg.dispersion, cfg.numerics
-    rp = derive_run_params(cfg)
-    w = omega_axis(num.n_t, grid.dt)
-    disp = 1.0 if num.dispersion_enabled else 0.0
-    loss = 1.0 if include_loss else 0.0
-    ls = -0.5 * loss * rp.alpha_m["s"] + 1j * w * rp.inv_l_w_s + disp * 0.5j * w**2 / d.l_d_s
-    li = -0.5 * loss * rp.alpha_m["i"] + 1j * w * rp.inv_l_w_i + disp * 0.5j * w**2 / d.l_d_i
-    return ls, li
-
-
 def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
     """Indices of `count` evenly spaced z nodes from 0 to n_z; none for 0."""
     if count == 0:
@@ -217,7 +204,7 @@ def evolve_jta(
     h = L / n_z
     dt = grid.dt
 
-    ls, li = _axis_exponents(cfg, grid)
+    ls, li = linear_exponents(cfg, grid, ("s", "i"))
     half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
     full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
 
@@ -310,16 +297,12 @@ def evolve_jta(
     return SimulationResult(jta=final, xi_profile=profile, snapshots=snaps)
 
 
-def perturbative_oracle(
-    cfg: SourceConfig,
-    pump_trace: PumpTrace,
-    include_loss: bool = True,
-) -> JointAmplitude:
+def perturbative_oracle(cfg: SourceConfig, pump_trace: PumpTrace) -> JointAmplitude:
     """Direct quadrature of the driven equation at first order.
 
-    Each step's diagonal source is propagated linearly (walk-off, optional
-    dispersion, loss) straight to z = L and accumulated in the frequency
-    domain.  Only valid with the nonlinear phases disabled.
+    Each step's diagonal source is propagated linearly (see
+    spectral.linear_exponents) straight to z = L and accumulated in the
+    frequency domain.  Only valid with the nonlinear phases disabled.
     """
     if cfg.numerics.xpm_spm_enabled:
         raise ValueError("perturbative oracle requires xpm_spm_enabled = False")
@@ -332,7 +315,7 @@ def perturbative_oracle(
     dt = grid.dt
     theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
 
-    ls, li = _axis_exponents(cfg, grid, include_loss=include_loss)
+    ls, li = linear_exponents(cfg, grid, ("s", "i"))
 
     idx = np.arange(n)
     ridge_idx = (idx[:, None] + idx[None, :]) % n

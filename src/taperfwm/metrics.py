@@ -117,13 +117,13 @@ def _idler_spectrum(phi: JointAmplitude):
     return phi.z, phi.grid, (np.abs(jsa.values) ** 2).sum(axis=0) * jsa.grid.dw
 
 
-def spectral_cumulative(snapshots, normalize: bool = True):
+def spectral_cumulative(snapshots):
     """Per-z Idler marginal intensity of the evolving joint spectrum.
 
     snapshots is any iterable of amplitudes, in either domain; each is
     released before the next is drawn.  Returns (z_nodes, w_axis, map) with
-    map[k] the Idler spectral intensity at snapshot k; peak-normalized over
-    the whole map when requested.
+    map[k] the Idler spectral intensity at snapshot k, peak-normalized over
+    the whole map.
     """
     rows = list(map(_idler_spectrum, snapshots))
     if len(rows) < 2:
@@ -131,7 +131,7 @@ def spectral_cumulative(snapshots, normalize: bool = True):
     zs, grids, spectra = zip(*rows)
     out = np.asarray(spectra)
     peak = out.max()
-    if normalize and peak > 0:
+    if peak > 0:
         out = out / peak
     return np.asarray(zs), grids[0].w_axis, out
 

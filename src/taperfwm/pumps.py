@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Grid, SourceConfig, derive_run_params
-from .spectral import omega_axis
+from .spectral import linear_exponents
 
 
 class PropagationError(RuntimeError):
@@ -25,7 +25,6 @@ class PropagationError(RuntimeError):
 class PumpEnvelopes:
     a_p1: np.ndarray
     a_p2: np.ndarray
-    z: float = 0.0
 
 
 @dataclass
@@ -46,14 +45,6 @@ class PumpTrace:
     def n_z(self):
         return self.z_nodes.size - 1
 
-    def envelopes_at(self, k: int) -> PumpEnvelopes:
-        """The envelopes at node k, the launch (0) or the end (n_z)."""
-        if k not in (0, self.n_z):
-            raise ValueError(f"the trace keeps nodes 0 and {self.n_z} only, not {k}")
-        e = 0 if k == 0 else 1
-        return PumpEnvelopes(self.a_p1_ends[e].copy(), self.a_p2_ends[e].copy(),
-                             z=float(self.z_nodes[k]))
-
 
 def trace_key(cfg: SourceConfig) -> tuple:
     """The parts of a configuration that its pump trace depends on: the
@@ -67,26 +58,14 @@ def gaussian_envelope(t_axis, center, peak_power):
     return np.sqrt(peak_power) * np.exp(-2.0 * np.log(2.0) * (t_axis - center) ** 2)
 
 
-def initial_envelopes(cfg: SourceConfig, grid: Grid | None = None) -> PumpEnvelopes:
+def initial_envelopes(cfg: SourceConfig) -> PumpEnvelopes:
     """Launch-point envelopes: pump 1 (TM0) delayed by tau, pump 2 (TM1) at T=0."""
-    grid = grid or cfg.grid()
+    t_axis = cfg.grid().t_axis
     rp = derive_run_params(cfg)
     tau_norm = cfg.pump.tau / cfg.pump.t0_fwhm
-    a1 = gaussian_envelope(grid.t_axis, tau_norm, rp.p_peak_1).astype(complex)
-    a2 = gaussian_envelope(grid.t_axis, 0.0, rp.p_peak_2).astype(complex)
-    return PumpEnvelopes(a_p1=a1, a_p2=a2, z=0.0)
-
-
-def _pump_exponents(cfg: SourceConfig, grid: Grid) -> np.ndarray:
-    """Per-unit-length linear-operator exponents of both pumps, (2, n_t):
-    loss, dispersion and, for pump 2, the walk-off from pump 1's frame."""
-    d, num = cfg.dispersion, cfg.numerics
-    rp = derive_run_params(cfg)
-    w = omega_axis(num.n_t, grid.dt)
-    disp = 1.0 if num.dispersion_enabled else 0.0
-    lin1 = -0.5 * rp.alpha_m["p1"] + disp * 0.5j * w**2 / d.l_d_p1
-    lin2 = -0.5 * rp.alpha_m["p2"] + disp * 0.5j * w**2 / d.l_d_p2 + 1j * w / d.l_w_p
-    return np.stack([lin1, lin2])
+    a1 = gaussian_envelope(t_axis, tau_norm, rp.p_peak_1).astype(complex)
+    a2 = gaussian_envelope(t_axis, 0.0, rp.p_peak_2).astype(complex)
+    return PumpEnvelopes(a_p1=a1, a_p2=a2)
 
 
 # the steps change a pump's energy only through the loss; the law holds to
@@ -108,8 +87,8 @@ def _check_energy(cfg: SourceConfig, launch: np.ndarray, end: np.ndarray):
         )
 
 
-def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> PumpTrace:
-    """Integrate the two coupled pump equations over [0, L].
+def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
+    """Integrate the two coupled pump equations over [0, L] from initial_envelopes.
 
     Internally steps at h/2 so that both the z nodes and the step midpoints
     hold physical envelopes; the trace keeps the midpoints and the two end
@@ -119,8 +98,7 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
     end energies must follow the loss (see _check_energy).
     """
     grid = cfg.grid()
-    if env0 is None:
-        env0 = initial_envelopes(cfg, grid)
+    env0 = initial_envelopes(cfg)
     d, num = cfg.dispersion, cfg.numerics
 
     n_z = num.n_z
@@ -129,7 +107,7 @@ def propagate_pumps(cfg: SourceConfig, env0: PumpEnvelopes | None = None) -> Pum
     hs = h / 2.0  # internal sub-step
 
     # z-independent part of the linear operators (frequency domain)
-    half = np.exp(_pump_exponents(cfg, grid) * hs / 2.0)
+    half = np.exp(linear_exponents(cfg, grid, ("p1", "p2")) * hs / 2.0)
     gamma = hs * np.array([[d.gamma_1111, 2.0 * d.gamma_1122],
                            [2.0 * d.gamma_2211, d.gamma_2222]])
     nl_on = num.xpm_spm_enabled

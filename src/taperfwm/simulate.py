@@ -10,7 +10,7 @@ from functools import cached_property
 from .config import SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta
 from .metrics import MetricsReport, compute_metrics
-from .pumps import PumpTrace, initial_envelopes, propagate_pumps
+from .pumps import PumpTrace, propagate_pumps
 
 
 class ValidationFailure(ValueError):
@@ -77,6 +77,6 @@ def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int 
         raise ValidationFailure(rep.errors)
     trace = pump_trace
     if trace is None:
-        trace = propagate_pumps(cfg, initial_envelopes(cfg))
+        trace = propagate_pumps(cfg)
     result = evolve_jta(cfg, trace, snapshots=snapshots)
     return RunOutput(cfg=cfg, pump_trace=trace if keep_pump_trace else None, result=result)

@@ -12,7 +12,6 @@ return, having put the whole mismatch on the source.
 import numpy as np
 
 from taperfwm.config import derive_run_params
-from taperfwm.jta import _axis_exponents
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes
 from taperfwm.spectral import omega_axis
@@ -55,13 +54,20 @@ def reference_jta(cfg, weights):
     full n x n grid; returns (final JTA values, xi at every node)."""
     w_si = weights[2] + weights[3]
     d, grid = cfg.dispersion, cfg.grid()
+    rp = derive_run_params(cfg)
     n, n_z, dt = grid.n, cfg.numerics.n_z, grid.dt
     L = cfg.geometry.length
     h = L / n_z
     ref1, ref2 = reference_pumps(cfg, weights)
     z_mid = (np.arange(n_z) + 0.5) * h
     theta_mid = w_si * mismatch_phase(cfg, z_mid)
-    ls, li = _axis_exponents(cfg, grid)
+    w = omega_axis(n, dt)
+    disp = 0.5j * w**2 if cfg.numerics.dispersion_enabled else 0.0
+    # drift magnitudes from the walk-off lengths, signs from the velocities
+    drift_s = np.sign(1.0 / d.v_s - 1.0 / d.v_p1) / abs(d.l_w_s)
+    drift_i = np.sign(1.0 / d.v_i - 1.0 / d.v_p1) / abs(d.l_w_i)
+    ls = -0.5 * rp.alpha_m["s"] + 1j * w * drift_s + disp / d.l_d_s
+    li = -0.5 * rp.alpha_m["i"] + 1j * w * drift_i + disp / d.l_d_i
     half_mult = np.exp(0.5 * h * ls)[:, None] * np.exp(0.5 * h * li)[None, :]
     idx = np.arange(n)
     spec = np.zeros((n, n), complex)

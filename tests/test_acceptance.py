@@ -244,7 +244,7 @@ def test_criterion_10_property_suite():
 
     lin = table1_config(numerics={"n_t": 64, "n_z": 500, "xpm_spm_enabled": False},
                         geometry={"taper_amplitude": 0.1e-6})
-    trace = propagate_pumps(lin, initial_envelopes(lin))
+    trace = propagate_pumps(lin)
     stepped = evolve_jta(lin, trace).jta
     direct = perturbative_oracle(lin, trace)
     rel = np.linalg.norm(stepped.values - direct.values) / np.linalg.norm(direct.values)

@@ -221,9 +221,9 @@ def _leaky_pumps(monkeypatch):
     know of."""
     from taperfwm import pumps
 
-    exponents = pumps._pump_exponents
-    monkeypatch.setattr(pumps, "_pump_exponents",
-                        lambda cfg, grid: exponents(cfg, grid) - 0.5e-6)
+    exponents = pumps.linear_exponents
+    monkeypatch.setattr(pumps, "linear_exponents",
+                        lambda cfg, grid, fields: exponents(cfg, grid, fields) - 0.5e-6)
 
 
 def test_pump_energy_fault_exits_3(cfg_path, tmp_path, monkeypatch, capsys):

@@ -46,7 +46,7 @@ def test_source_diagonal_vs_spectral():
 def test_oracle_equivalence():
     cfg = _cfg(numerics={"n_z": 500, "xpm_spm_enabled": False},
                geometry={"taper_amplitude": 0.1e-6})
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     stepped = evolve_jta(cfg, trace).jta
     direct = perturbative_oracle(cfg, trace)
     num = np.linalg.norm(stepped.values - direct.values)
@@ -56,7 +56,7 @@ def test_oracle_equivalence():
 
 def test_oracle_requires_nl_off():
     cfg = _cfg()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     with pytest.raises(ValueError):
         perturbative_oracle(cfg, trace)
 
@@ -90,7 +90,7 @@ def test_loss_decay_with_source_off():
     # restarting from a generated state with the source off, xi decays at
     # exactly alpha_s + alpha_i
     cfg = _cfg()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     res = evolve_jta(cfg, trace)
     res2 = evolve_jta(cfg, trace, initial=res.jta, include_source=False)
     rp = derive_run_params(cfg)
@@ -143,12 +143,16 @@ def test_redistribution_invariance():
         assert np.max(np.abs(phi - ref * global_phase(cfg, weights))) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("taper", [0.0, 0.1e-6])
-@pytest.mark.parametrize("xpm", [True, False])
-def test_fused_stepper_matches_reference(taper, xpm):
-    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper})
+@pytest.mark.parametrize("xpm, taper, disp", [
+    *(pytest.param(xpm, taper, True, id=f"{xpm}-{taper}")
+      for xpm in (True, False) for taper in (0.0, 0.1e-6)),
+    pytest.param(True, 0.1e-6, False, id="True-1e-07-no-dispersion"),
+])
+def test_fused_stepper_matches_reference(xpm, taper, disp):
+    cfg = _cfg(numerics={"xpm_spm_enabled": xpm, "dispersion_enabled": disp},
+               geometry={"taper_amplitude": taper})
     weights = (0.2, 0.3, -0.2, -0.3)
-    res = evolve_jta(cfg, propagate_pumps(cfg, initial_envelopes(cfg)))
+    res = evolve_jta(cfg, propagate_pumps(cfg))
     ref_jta, ref_xi = reference_jta(cfg, weights)
     ref_jta = ref_jta * global_phase(cfg, weights)
     assert np.max(np.abs(res.jta.values - ref_jta)) <= 1e-12 * np.max(np.abs(ref_jta))
@@ -158,7 +162,7 @@ def test_fused_stepper_matches_reference(taper, xpm):
 def test_snapshot_nodes_do_not_change_result():
     # snapshots = n_z + 1 leaves every step unfused, 2 fuses all but the last
     cfg = _cfg(geometry={"taper_amplitude": 0.1e-6})
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     every = evolve_jta(cfg, trace, snapshots=FAST["n_z"] + 1)
     ends = evolve_jta(cfg, trace, snapshots=2)
     assert len(every.snapshots) == FAST["n_z"] + 1
@@ -178,7 +182,7 @@ def test_snapshot_norms_match_xi_profile(fast_run):
 
 def test_nan_pump_midpoint_names_first_bad_step():
     cfg = _cfg()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     trace.a_p1_mid = trace.a_p1_mid.copy()
     trace.a_p1_mid[41, 7] = np.nan
     trace.a_p1_mid[60, 7] = np.nan
@@ -188,7 +192,7 @@ def test_nan_pump_midpoint_names_first_bad_step():
 
 def test_no_snapshots_same_result():
     cfg = _cfg(geometry={"taper_amplitude": 0.1e-6})
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     none = evolve_jta(cfg, trace)
     every = evolve_jta(cfg, trace, snapshots=FAST["n_z"] + 1)
     assert none.snapshots == []
@@ -201,17 +205,17 @@ def test_no_snapshots_same_result():
 @pytest.mark.parametrize("count", [-1, 1, FAST["n_z"] + 2])
 def test_snapshot_count_out_of_range(count):
     cfg = _cfg()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     with pytest.raises(ValueError, match="snapshots"):
         evolve_jta(cfg, trace, snapshots=count)
 
 
 def test_bookkeeping_checked_on_every_run(monkeypatch):
     # a stepped field that loses no norm cannot match the loss bookkeeping
-    real = jta._axis_exponents
-    monkeypatch.setattr(jta, "_axis_exponents",
-                        lambda cfg, grid, include_loss=True: real(cfg, grid, include_loss=False))
+    real = jta.linear_exponents
+    monkeypatch.setattr(jta, "linear_exponents",
+                        lambda cfg, grid, fields: 1j * real(cfg, grid, fields).imag)
     cfg = _cfg()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     with pytest.raises(PropagationError, match="bookkeeping"):
         evolve_jta(cfg, trace)

@@ -202,7 +202,7 @@ def test_spectral_cumulative_growth():
         dispersion={"alpha_s": 1e-12, "alpha_i": 1e-12},
     )
     out = run_source(cfg, snapshots=8)
-    zs, w_axis, smap = spectral_cumulative(out.result.snapshots, normalize=False)
+    zs, w_axis, smap = spectral_cumulative(out.result.snapshots)
     assert smap.shape == (len(zs), 64)
     totals = smap.sum(axis=1)
     assert np.all(np.diff(totals) >= -1e-10 * totals.max())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taperfwm.config import Grid, NumericsSpec, dbcm_to_per_m, per_m_to_dbcm
+from taperfwm.config import Grid, NumericsSpec, dbcm_to_per_m
 from taperfwm.interference import apply_time_shift, hhom_visibility, rhom_visibility
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import heralded_purity, jsa_to_jta, jta_to_jsa, mean_shift
@@ -97,4 +97,5 @@ def test_mean_shift_global_phase_invariance(values, theta):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-3, 50.0, allow_nan=False))
 def test_loss_unit_round_trip(dbcm):
-    assert per_m_to_dbcm(dbcm_to_per_m(dbcm)) == pytest.approx(dbcm, rel=1e-12)
+    # back to dB: the power lost over 1 cm at the converted rate
+    assert -10.0 * np.log10(np.exp(-dbcm_to_per_m(dbcm) * 1e-2)) == pytest.approx(dbcm, rel=1e-12)

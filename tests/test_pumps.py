@@ -57,7 +57,7 @@ def test_zero_power_is_zero():
 
 def test_pure_loss_energy():
     cfg = _cfg(numerics={"xpm_spm_enabled": False, "dispersion_enabled": False})
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     g = cfg.grid()
     z_cm = 100.0 * trace.z_mid
     for mid, ends, dbcm in ((trace.a_p1_mid, trace.a_p1_ends, 0.4),
@@ -74,7 +74,7 @@ def test_walkoff_translates_pump2_exactly():
         dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12},
     )
     g = cfg.grid()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     # pump 2 (slow) advects by L / L_w,p = 6 units; pump 1 defines the frame
     c2_in = _centroid(g.t_axis, trace.a_p2_ends[0])
     c2_out = _centroid(g.t_axis, trace.a_p2_ends[1])
@@ -96,7 +96,7 @@ def test_spm_phase_and_energy():
     )
     g = cfg.grid()
     rp = derive_run_params(cfg)
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     a0, a_end = trace.a_p1_ends
     assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-10)
     k = int(np.argmax(np.abs(a_end)))
@@ -111,7 +111,7 @@ def test_linear_dispersion_matches_exact_propagator():
         dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12, "l_w_p": 1e6},
     )
     g = cfg.grid()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     w = omega_axis(g.n, g.dt)
     L = cfg.geometry.length
     mult = np.exp(0.5j * w**2 * L / cfg.dispersion.l_d_p1)
@@ -122,17 +122,17 @@ def test_linear_dispersion_matches_exact_propagator():
 def test_lossless_nonlinear_energy_conservation():
     cfg = _cfg(dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12})
     g = cfg.grid()
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     for a0, a_end in (trace.a_p1_ends, trace.a_p2_ends):
         assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-9)
 
 
 def test_step_halving_convergence_order():
     cfg = _cfg(numerics={"n_z": 100})
-    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800}), initial_envelopes(cfg)).a_p2_ends[1]
+    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800})).a_p2_ends[1]
 
     def err(n_z):
-        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z}), initial_envelopes(cfg)).a_p2_ends[1]
+        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z})).a_p2_ends[1]
         return np.linalg.norm(out - ref)
 
     assert err(100) / err(200) >= 3.5
@@ -140,8 +140,8 @@ def test_step_halving_convergence_order():
 
 def test_determinism():
     cfg = _cfg()
-    t1 = propagate_pumps(cfg, initial_envelopes(cfg))
-    t2 = propagate_pumps(cfg, initial_envelopes(cfg))
+    t1 = propagate_pumps(cfg)
+    t2 = propagate_pumps(cfg)
     for name in TRACE_ARRAYS:
         assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
@@ -171,7 +171,7 @@ def test_stacked_stepper_matches_per_pump_reference():
     # phase; the production trace carries none
     cfg = _cfg(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.25e-6})
     weights = (0.2, 0.3, -0.2, -0.3)
-    trace = propagate_pumps(cfg, initial_envelopes(cfg))
+    trace = propagate_pumps(cfg)
     ref1, ref2 = reference_pumps(cfg, weights)
     th_ends = mismatch_phase(cfg, trace.z_nodes[[0, -1]])[:, None]
     th_mid = mismatch_phase(cfg, trace.z_mid)[:, None]
@@ -200,9 +200,9 @@ def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
     # a stepper loss (1/m, on the power) that the law exp(-alpha_p L) does
     # not know of: over L it removes 1.5e-11 or 1.5e-8 of each pump's
     # energy, below and above the 1e-10 bound
-    exponents = pumps._pump_exponents
-    monkeypatch.setattr(pumps, "_pump_exponents",
-                        lambda cfg, grid: exponents(cfg, grid) - 0.5 * extra_loss)
+    exponents = pumps.linear_exponents
+    monkeypatch.setattr(pumps, "linear_exponents",
+                        lambda cfg, grid, fields: exponents(cfg, grid, fields) - 0.5 * extra_loss)
     cfg = _cfg()
     if fails:
         with pytest.raises(PropagationError, match="pump energy departs"):
@@ -211,9 +211,10 @@ def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
         propagate_pumps(cfg)
 
 
-def test_nan_envelope_raises_at_first_step():
+def test_nan_envelope_raises_at_first_step(monkeypatch):
     cfg = _cfg()
     env = initial_envelopes(cfg)
     env.a_p2[5] = np.nan
+    monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
     with pytest.raises(PropagationError, match=r"diverged at step 1$"):
-        propagate_pumps(cfg, env)
+        propagate_pumps(cfg)
