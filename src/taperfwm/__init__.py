@@ -19,7 +19,7 @@ from .config import (
     derive_run_params,
     load_config,
 )
-from .pumps import PumpEnvelopes, PumpTrace, initial_envelopes, propagate_pumps, analytic_pumps
+from .pumps import PumpTrace, initial_envelopes, propagate_pumps, analytic_pumps
 from .jta import (
     JointAmplitude,
     XiProfile,
@@ -28,7 +28,6 @@ from .jta import (
     jsa_to_jta,
     jta_to_jsa,
     perturbative_oracle,
-    source_term,
 )
 from .metrics import (
     MetricsReport,

@@ -50,8 +50,9 @@ def _dump_matrices(writer: io.ArtifactWriter, stem: str, jta: JointAmplitude | N
 def _dump_pumps(writer: io.ArtifactWriter, trace):
     """pumps_z00000.csv and pumps_z<n_z>.csv: the launch and end envelopes."""
     for e, k in enumerate((0, trace.n_z)):
-        writer.add(io.write_envelopes_csv(trace.grid.t_axis, trace.a_p1_ends[e],
-                                          trace.a_p2_ends[e], writer.path(f"pumps_z{k:05d}.csv")))
+        a1, a2 = trace.ends[:, e]
+        writer.add(io.write_envelopes_csv(trace.grid.t_axis, a1, a2,
+                                          writer.path(f"pumps_z{k:05d}.csv")))
 
 
 def _snapshot_jsas(writer: io.ArtifactWriter, result, dump_jta: bool, dump_jsa: bool):
@@ -102,6 +103,8 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     cfg = load_config(args.config)
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
@@ -120,6 +123,10 @@ def cmd_sweep(args) -> int:
 def cmd_pair(args) -> int:
     cfg1 = load_config(args.config1)
     cfg2 = load_config(args.config2)
+    grids = [(c.numerics.n_t, c.numerics.t_window) for c in (cfg1, cfg2)]
+    if grids[0] != grids[1]:
+        raise ConfigError("the two sources must share one time grid: (n_t, t_window) "
+                          f"{grids[0]} against {grids[1]}")
     writer = io.ArtifactWriter("pair", args.output, [cfg1, cfg2])
     runs = {}  # the raw pair's runs, reused by the optimizer
     raw = evaluate_pair(cfg1, cfg2, runs)

@@ -302,13 +302,14 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
             )
         # the JTA stepper is wrong, silently, once the Idler walks more
         # than one time cell per z-step
-        dt = (t_max - t_min) / num.n_t
-        if num.n_t > 0 and num.n_z > 0 and num.n_z * dt < drift:
-            rep.errors.append(
-                f"numerics.n_z = {num.n_z} too small for n_t = {num.n_t}: the Idler "
-                f"walks {drift / (num.n_z * dt):.2f} time cells per z-step (at most 1); "
-                f"need n_z >= {math.ceil(drift / dt)}"
-            )
+        if num.n_t > 0 and num.n_z > 0:
+            dt = (t_max - t_min) / num.n_t
+            if num.n_z * dt < drift:
+                rep.errors.append(
+                    f"numerics.n_z = {num.n_z} too small for n_t = {num.n_t}: the Idler "
+                    f"walks {drift / (num.n_z * dt):.2f} time cells per z-step (at most 1); "
+                    f"need n_z >= {math.ceil(drift / dt)}"
+                )
 
     if not rep.errors:
         tmax = tau_max_of(cfg)
@@ -383,8 +384,23 @@ class ConfigWarning(UserWarning):
     """A configuration that validates but holds a questionable value."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a config document may give for a field, by the field's annotation
+_FIELD_KINDS = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple": ("two numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+              and all(map(_is_number, v))),
+}
+
+
 def config_from_dict(doc: dict) -> SourceConfig:
-    """Build a SourceConfig from a JSON-style dict; unknown keys are fatal."""
+    """Build a SourceConfig from a JSON-style dict; unknown keys and values
+    of the wrong kind are fatal."""
     doc = dict(doc)
     defaults = doc.pop("defaults", None)
     if defaults is None:
@@ -405,10 +421,14 @@ def config_from_dict(doc: dict) -> SourceConfig:
             continue
         if not isinstance(sub, dict):
             raise ConfigError(f"section {name!r} must be an object")
-        known = {f.name for f in dataclasses.fields(typ)}
-        bad = set(sub) - known
+        kinds = {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(typ)}
+        bad = set(sub) - set(kinds)
         if bad:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
+        for key, value in sub.items():
+            what, fits = kinds[key]
+            if not fits(value):
+                raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
         sections[name] = sub
     return base.replace(**sections)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
-from .pumps import PropagationError, PumpEnvelopes, PumpTrace
+from .pumps import PropagationError, PumpTrace
 from .spectral import linear_exponents, omega_axis
 
 
@@ -124,43 +124,24 @@ class SimulationResult:
 
 
 def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
-    """Diagonal of the FWM driving term for the net mismatch phase theta."""
+    """Diagonal of the FWM driving term on the (T_s, T_i) grid for the pump
+    envelopes a1, a2 and the net mismatch phase theta.
+
+    The driving term is a delta ridge on the grid diagonal with a 2*pi/dt
+    weight: 1/dt realizes the Dirac delta on the discrete diagonal and the
+    2*pi carries the pump-spectrum convolution normalization.
+    """
     return 2j * np.pi * gamma_fwm * a1 * a2 * np.exp(1j * theta) / dt
 
 
-def source_term(
-    pumps: PumpEnvelopes,
-    grid: Grid,
-    gamma_fwm: float,
-    theta: float = 0.0,
-    form: str = "diagonal",
-) -> np.ndarray:
-    """FWM driving term on the (T_s, T_i) grid at the pump's position, for
-    the net mismatch phase theta = Theta(z) accumulated up to that position.
-
-    The delta ridge of the driving term lives on the grid diagonal with a
-    2*pi/dt weight: 1/dt realizes the Dirac delta on the discrete diagonal
-    and the 2*pi carries the pump-spectrum convolution normalization of the
-    driving term.  form="spectral" rebuilds the same matrix through the
-    pump spectral convolution (direct sum, used as an independent
-    cross-check).
-    """
-    n = grid.n
-    if form == "diagonal":
-        out = np.zeros((n, n), complex)
-        np.fill_diagonal(out, _source_diag(pumps.a_p1, pumps.a_p2, gamma_fwm, theta, grid.dt))
-        return out
-    if form == "spectral":
-        spec1 = np.fft.ifft(pumps.a_p1)
-        spec2 = np.fft.ifft(pumps.a_p2)
-        conv = np.empty(n, complex)
-        idx = np.arange(n)
-        for m in range(n):
-            conv[m] = np.sum(spec1 * spec2[(m - idx) % n])
-        g = 2j * np.pi * gamma_fwm * np.exp(1j * theta) * conv / (n * grid.dt)
-        ridge = g[(idx[:, None] + idx[None, :]) % n]
-        return np.fft.fft2(ridge)
-    raise ValueError(f"unknown source form {form!r}")
+def step_drives(cfg: SourceConfig, pump_trace: PumpTrace):
+    """Each z-step's drive, in step order: the pump midpoints a1, a2 and the
+    source diagonal, with the net mismatch phase Theta taken at the step
+    midpoint."""
+    theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
+    gamma_fwm, dt = cfg.dispersion.gamma_p1p2si, pump_trace.grid.dt
+    for a1, a2, theta in zip(pump_trace.mid[0], pump_trace.mid[1], theta_mid):
+        yield a1, a2, _source_diag(a1, a2, gamma_fwm, theta, dt)
 
 
 def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
@@ -199,10 +180,7 @@ def evolve_jta(
     d, num = cfg.dispersion, cfg.numerics
     rp = derive_run_params(cfg)
     n = num.n_t
-    n_z = pump_trace.n_z
-    L = cfg.geometry.length
-    h = L / n_z
-    dt = grid.dt
+    n_z, h, dt = pump_trace.n_z, pump_trace.h, grid.dt
 
     ls, li = linear_exponents(cfg, grid, ("s", "i"))
     half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
@@ -210,7 +188,6 @@ def evolve_jta(
 
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
     decay_half = np.exp(-sigma * h / 2.0)
-    gamma_fwm = d.gamma_p1p2si
     nl_on = num.xpm_spm_enabled
 
     # the state: time domain around the nonlinear part of a step, frequency
@@ -221,8 +198,6 @@ def evolve_jta(
             raise ValueError("initial amplitude must be in the time domain")
         state[...] = initial.values
     diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
-
-    theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
 
     xi = np.empty(n_z + 1)
     xi[0] = sum_abs2(state) * dt * dt
@@ -249,11 +224,9 @@ def evolve_jta(
     ifft2(state)
     half_step(state)
 
-    for k in range(n_z):
+    for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
         fft2(state)
 
-        a1 = pump_trace.a_p1_mid[k]
-        a2 = pump_trace.a_p2_mid[k]
         if nl_on:
             ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
             ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
@@ -261,7 +234,6 @@ def evolve_jta(
             state *= np.exp(1j * h * ni)[None, :]
 
         if include_source:
-            src_diag = _source_diag(a1, a2, gamma_fwm, theta_mid[k], dt)
             gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
             diag += h * src_diag
         else:
@@ -307,25 +279,17 @@ def perturbative_oracle(cfg: SourceConfig, pump_trace: PumpTrace) -> JointAmplit
     if cfg.numerics.xpm_spm_enabled:
         raise ValueError("perturbative oracle requires xpm_spm_enabled = False")
     grid = pump_trace.grid
-    d, num = cfg.dispersion, cfg.numerics
-    n = num.n_t
-    n_z = pump_trace.n_z
-    L = cfg.geometry.length
-    h = L / n_z
-    dt = grid.dt
-    theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
+    n, h = grid.n, pump_trace.h
+    L = float(pump_trace.z_nodes[-1])
+    rest = L - pump_trace.z_mid  # from each step's source to z = L
 
     ls, li = linear_exponents(cfg, grid, ("s", "i"))
 
     idx = np.arange(n)
     ridge_idx = (idx[:, None] + idx[None, :]) % n
     acc = np.zeros((n, n), complex)
-    for k in range(n_z):
-        a1 = pump_trace.a_p1_mid[k]
-        a2 = pump_trace.a_p2_mid[k]
-        diag = _source_diag(a1, a2, d.gamma_p1p2si, theta_mid[k], dt)
+    for k, (_, _, diag) in enumerate(step_drives(cfg, pump_trace)):
         g = np.fft.ifft(diag) / n
-        rest = L - pump_trace.z_mid[k]
-        acc += h * np.exp(ls * rest)[:, None] * np.exp(li * rest)[None, :] * g[ridge_idx]
+        acc += h * np.exp(ls * rest[k])[:, None] * np.exp(li * rest[k])[None, :] * g[ridge_idx]
 
     return JointAmplitude(values=np.fft.fft2(acc), domain="time", grid=grid, z=L)

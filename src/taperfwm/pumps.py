@@ -22,24 +22,19 @@ class PropagationError(RuntimeError):
 
 
 @dataclass
-class PumpEnvelopes:
-    a_p1: np.ndarray
-    a_p2: np.ndarray
-
-
-@dataclass
 class PumpTrace:
-    """The envelopes at the n_z step midpoints, which the JTA stepper reads,
-    and at the two end nodes z = 0 and z = L, which --dump-pumps writes.
-    The interior nodes are not kept."""
+    """The z-step plan of a run: n_z steps of width h between the nodes
+    z_nodes, and the two pumps, stacked as the stepper steps them, at the
+    step midpoints z_mid (which the JTA stepper and the oracle read) and at
+    the end nodes z = 0 and z = L (which --dump-pumps writes).  The
+    interior nodes are not kept."""
 
     grid: Grid
+    h: float
     z_nodes: np.ndarray          # (n_z + 1,)
     z_mid: np.ndarray            # (n_z,)
-    a_p1_mid: np.ndarray         # (n_z, n_t)
-    a_p2_mid: np.ndarray
-    a_p1_ends: np.ndarray        # (2, n_t): at z = 0 and z = L
-    a_p2_ends: np.ndarray
+    mid: np.ndarray              # (2, n_z, n_t): (pump, step, T)
+    ends: np.ndarray             # (2, 2, n_t): (pump, z = 0 | z = L, T)
 
     @property
     def n_z(self):
@@ -58,14 +53,14 @@ def gaussian_envelope(t_axis, center, peak_power):
     return np.sqrt(peak_power) * np.exp(-2.0 * np.log(2.0) * (t_axis - center) ** 2)
 
 
-def initial_envelopes(cfg: SourceConfig) -> PumpEnvelopes:
-    """Launch-point envelopes: pump 1 (TM0) delayed by tau, pump 2 (TM1) at T=0."""
+def initial_envelopes(cfg: SourceConfig) -> np.ndarray:
+    """Launch-point envelopes as one (2, n_t) array: pump 1 (TM0) delayed
+    by tau, pump 2 (TM1) at T=0."""
     t_axis = cfg.grid().t_axis
     rp = derive_run_params(cfg)
     tau_norm = cfg.pump.tau / cfg.pump.t0_fwhm
-    a1 = gaussian_envelope(t_axis, tau_norm, rp.p_peak_1).astype(complex)
-    a2 = gaussian_envelope(t_axis, 0.0, rp.p_peak_2).astype(complex)
-    return PumpEnvelopes(a_p1=a1, a_p2=a2)
+    return np.array([gaussian_envelope(t_axis, tau_norm, rp.p_peak_1),
+                     gaussian_envelope(t_axis, 0.0, rp.p_peak_2)], dtype=complex)
 
 
 # the steps change a pump's energy only through the loss; the law holds to
@@ -98,7 +93,6 @@ def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
     end energies must follow the loss (see _check_energy).
     """
     grid = cfg.grid()
-    env0 = initial_envelopes(cfg)
     d, num = cfg.dispersion, cfg.numerics
 
     n_z = num.n_z
@@ -112,7 +106,7 @@ def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
                            [2.0 * d.gamma_2211, d.gamma_2222]])
     nl_on = num.xpm_spm_enabled
 
-    a = np.array([env0.a_p1, env0.a_p2], dtype=complex)
+    a = initial_envelopes(cfg)
     mids = np.empty((2, n_z, num.n_t), complex)
     ends = np.empty((2, 2, num.n_t), complex)  # (pump, z = 0 | z = L, T)
     ends[:, 0] = a
@@ -136,15 +130,8 @@ def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
     _check_energy(cfg, ends[:, 0], ends[:, 1])
 
     z_nodes = np.linspace(0.0, L, n_z + 1)
-    return PumpTrace(
-        grid=grid,
-        z_nodes=z_nodes,
-        z_mid=z_nodes[:-1] + h / 2.0,
-        a_p1_mid=mids[0],
-        a_p2_mid=mids[1],
-        a_p1_ends=ends[0],
-        a_p2_ends=ends[1],
-    )
+    return PumpTrace(grid=grid, h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
+                     mid=mids, ends=ends)
 
 
 def analytic_pumps(cfg: SourceConfig, z, t):

@@ -1,12 +1,13 @@
-"""Naive per-field reference steppers for the pump SSFM and the JTA.
+"""Naive per-field reference steppers for the pump SSFM and the JTA, and
+the source term by direct spectral convolution.
 
-Both split the net mismatch phase among the four fields with weights
-(p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects w_p * Theta over
-every linear half of a sub-step (exact Theta increments), the source loses
-(w_s + w_i) * Theta(z_mid) and the final JTA gets (w_s + w_i) * Theta(L)
-back.  Any split gives the same physical amplitude up to the global phase
-exp(-i (w_s + w_i) Theta(L)), which is what the production steppers
-return, having put the whole mismatch on the source.
+The two steppers split the net mismatch phase among the four fields with
+weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
+w_p * Theta over every linear half of a sub-step (exact Theta increments),
+the source loses (w_s + w_i) * Theta(z_mid) and the final JTA gets
+(w_s + w_i) * Theta(L) back.  Any split gives the same physical amplitude
+up to the global phase exp(-i (w_s + w_i) Theta(L)), which is what the
+production steppers return, having put the whole mismatch on the source.
 """
 
 import numpy as np
@@ -30,8 +31,7 @@ def reference_pumps(cfg, weights):
     half1 = np.exp((-0.5 * rp.alpha_m["p1"] + disp / d.l_d_p1) * hs / 2.0)
     half2 = np.exp((-0.5 * rp.alpha_m["p2"] + disp / d.l_d_p2 + 1j * w / d.l_w_p) * hs / 2.0)
     theta = mismatch_phase(cfg, 0.5 * hs * np.arange(4 * num.n_z + 1))
-    env = initial_envelopes(cfg)
-    a1, a2 = env.a_p1.astype(complex), env.a_p2.astype(complex)
+    a1, a2 = initial_envelopes(cfg)
     out1, out2 = [a1], [a2]
     for k in range(2 * num.n_z):
         da, db = theta[2 * k + 1] - theta[2 * k], theta[2 * k + 2] - theta[2 * k + 1]
@@ -83,6 +83,22 @@ def reference_jta(cfg, weights):
         spec = np.fft.ifft2(phi) * half_mult
         xi.append(float(np.sum(np.abs(spec) ** 2)) * n * n * dt * dt)
     return np.fft.fft2(spec) * np.exp(1j * w_si * mismatch_phase(cfg, L)), np.array(xi)
+
+
+def spectral_source(a1, a2, grid, gamma_fwm, theta):
+    """The FWM driving term on the (T_s, T_i) grid, rebuilt as an n x n
+    matrix through the pumps' spectral convolution (an O(n^2) direct sum):
+    an independent check of the stepper's diagonal source (jta._source_diag)."""
+    n = grid.n
+    spec1 = np.fft.ifft(a1)
+    spec2 = np.fft.ifft(a2)
+    conv = np.empty(n, complex)
+    idx = np.arange(n)
+    for m in range(n):
+        conv[m] = np.sum(spec1 * spec2[(m - idx) % n])
+    g = 2j * np.pi * gamma_fwm * np.exp(1j * theta) * conv / (n * grid.dt)
+    ridge = g[(idx[:, None] + idx[None, :]) % n]
+    return np.fft.fft2(ridge)
 
 
 def global_phase(cfg, weights):

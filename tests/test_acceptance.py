@@ -25,11 +25,12 @@ from taperfwm.interference import (
     hhom_visibility,
     optimize_delays,
 )
-from taperfwm.jta import JointAmplitude, evolve_jta, perturbative_oracle, source_term
+from taperfwm.jta import JointAmplitude, _source_diag, evolve_jta, perturbative_oracle, step_drives
 from taperfwm.metrics import analytic_arrival_times, heralded_purity, jta_to_jsa
+from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes, propagate_pumps
 
-from _reference import global_phase, reference_jta
+from _reference import global_phase, reference_jta, spectral_source
 
 pytestmark = pytest.mark.acceptance
 
@@ -235,12 +236,23 @@ def test_criterion_10_property_suite():
     dp = abs(jsa.integrate_norm() / phi.integrate_norm() - 1.0)
     checks.append((dp <= 1e-10, f"Parseval on conversion to {dp:.1e}"))
 
-    env = initial_envelopes(fast)
+    a1, a2 = initial_envelopes(fast)
     g = fast.grid()
-    d = source_term(env, g, 1.34, theta=0.37)
-    s = source_term(env, g, 1.34, theta=0.37, form="spectral")
+    d = np.diag(_source_diag(a1, a2, 1.34, 0.37, g.dt))
+    s = spectral_source(a1, a2, g, 1.34, 0.37)
     ds = np.max(np.abs(d - s)) / np.max(np.abs(d))
     checks.append((ds <= 1e-10, f"diagonal-vs-spectral source term to {ds:.1e}"))
+    # each stepped drive of a tapered, height-offset trace, with Theta at
+    # the step midpoint
+    bent = fast.replace(geometry={"taper_amplitude": 0.1e-6, "height_offset": 2e-9})
+    trace = propagate_pumps(bent)
+    dk = 0.0
+    for k, (a1, a2, diag) in enumerate(step_drives(bent, trace)):
+        if k in (0, 25, 50, 99):
+            theta = mismatch_phase(bent, trace.z_mid[k])
+            s = spectral_source(a1, a2, g, bent.dispersion.gamma_p1p2si, theta)
+            dk = max(dk, np.max(np.abs(np.diag(diag) - s)) / np.max(np.abs(diag)))
+    checks.append((dk <= 1e-10, f"stepped drives vs spectral source term to {dk:.1e}"))
 
     lin = table1_config(numerics={"n_t": 64, "n_z": 500, "xpm_spm_enabled": False},
                         geometry={"taper_amplitude": 0.1e-6})

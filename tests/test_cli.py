@@ -291,6 +291,45 @@ def test_invalid_tau_exits_2(tmp_path):
     assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "o")]) == 2
 
 
+def _fast_doc(**numerics):
+    return config_to_dict(table1_config(numerics={**FAST, **numerics}))
+
+
+# a config value of the wrong kind, and a command-line value that no run
+# can take: each is refused with exit 2 before any output or simulation
+BAD_INPUTS = {
+    "n_t-zero": ("simulate", {"numerics": {"n_t": 0}}, []),
+    "n_t-float": ("simulate", {"numerics": {"n_t": 64.5}}, []),
+    "n_t-string": ("simulate", {"numerics": {"n_t": "64"}}, []),
+    "tau-string": ("simulate", {"pump": {"tau": "1e-12"}}, []),
+    "t_window-number": ("simulate", {"numerics": {"t_window": 5}}, []),
+    "t_window-three": ("simulate", {"numerics": {"t_window": [0, 1, 2]}}, []),
+    "steps-zero": ("sweep", _fast_doc(), ["--steps", "0"]),
+    "steps-negative": ("sweep", _fast_doc(), ["--steps", "-1"]),
+    "pair-grids": ("pair", _fast_doc(), [_fast_doc(n_t=128)]),
+}
+
+
+@pytest.mark.parametrize("command, doc, extra", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_before_any_run(tmp_path, capsys, command, doc, extra):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "-c", str(p)]
+    elif command == "sweep":
+        argv = ["sweep", "-c", str(p), "--param", "tau", "--from", "0", "--to", "1e-12", *extra]
+    else:
+        p2 = tmp_path / "cfg2.json"
+        p2.write_text(json.dumps(extra[0]))
+        argv = ["pair", "-c1", str(p), "-c2", str(p2)]
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _window_cfg_path(tmp_path, t_window):
     cfg = config_to_dict(table1_config(numerics={**FAST, "t_window": t_window}))
     p = tmp_path / "window.json"

@@ -5,11 +5,12 @@ import pytest
 
 from taperfwm import jta, run_source, table1_config
 from taperfwm.config import derive_run_params
-from taperfwm.jta import evolve_jta, perturbative_oracle, source_term
+from taperfwm.jta import _source_diag, evolve_jta, perturbative_oracle, step_drives
 from taperfwm.metrics import jta_to_jsa
+from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 
-from _reference import global_phase, reference_jta
+from _reference import global_phase, reference_jta, spectral_source
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -20,27 +21,40 @@ def _cfg(**kw):
 
 def test_source_zero_gamma():
     cfg = _cfg()
-    env = initial_envelopes(cfg)
-    s = source_term(env, cfg.grid(), 0.0)
+    a1, a2 = initial_envelopes(cfg)
+    s = _source_diag(a1, a2, 0.0, 0.0, cfg.grid().dt)
     assert np.all(s == 0.0)
 
 
 def test_source_no_overlap():
     cfg = _cfg(pump={"tau": 4.8e-12})
-    env = initial_envelopes(cfg)
-    prod = np.abs(env.a_p1 * env.a_p2)
-    assert prod.max() < 1e-10 * np.abs(env.a_p1).max() * np.abs(env.a_p2).max()
-    s = source_term(env, cfg.grid(), 1.34)
+    a1, a2 = initial_envelopes(cfg)
+    prod = np.abs(a1 * a2)
+    assert prod.max() < 1e-10 * np.abs(a1).max() * np.abs(a2).max()
+    s = _source_diag(a1, a2, 1.34, 0.0, cfg.grid().dt)
     assert np.abs(s).max() <= 2 * np.pi * 1.34 * prod.max() / cfg.grid().dt * (1 + 1e-12)
 
 
 def test_source_diagonal_vs_spectral():
     cfg = table1_config(numerics={"n_t": 128, "n_z": 100}, pump={"tau": 1.0e-12})
-    env = initial_envelopes(cfg)
+    a1, a2 = initial_envelopes(cfg)
     g = cfg.grid()
-    d = source_term(env, g, 1.34, theta=0.37)
-    s = source_term(env, g, 1.34, theta=0.37, form="spectral")
+    d = np.diag(_source_diag(a1, a2, 1.34, 0.37, g.dt))
+    s = spectral_source(a1, a2, g, 1.34, 0.37)
     assert np.max(np.abs(d - s)) <= 1e-10 * np.max(np.abs(d))
+
+    # each step's drive on a tapered, height-offset trace: the trace's
+    # midpoint pumps and the source at Theta of the step midpoint
+    cfg = cfg.replace(geometry={"taper_amplitude": 0.1e-6, "height_offset": 2e-9})
+    trace = propagate_pumps(cfg)
+    drives = list(step_drives(cfg, trace))
+    assert len(drives) == trace.n_z
+    for k in (0, 25, 50, 99):
+        a1, a2, diag = drives[k]
+        assert np.array_equal(a1, trace.mid[0, k]) and np.array_equal(a2, trace.mid[1, k])
+        theta = mismatch_phase(cfg, trace.z_mid[k])
+        s = spectral_source(a1, a2, g, cfg.dispersion.gamma_p1p2si, theta)
+        assert np.max(np.abs(np.diag(diag) - s)) <= 1e-10 * np.max(np.abs(diag))
 
 
 def test_oracle_equivalence():
@@ -183,9 +197,9 @@ def test_snapshot_norms_match_xi_profile(fast_run):
 def test_nan_pump_midpoint_names_first_bad_step():
     cfg = _cfg()
     trace = propagate_pumps(cfg)
-    trace.a_p1_mid = trace.a_p1_mid.copy()
-    trace.a_p1_mid[41, 7] = np.nan
-    trace.a_p1_mid[60, 7] = np.nan
+    trace.mid = trace.mid.copy()
+    trace.mid[0, 41, 7] = np.nan
+    trace.mid[0, 60, 7] = np.nan
     with pytest.raises(PropagationError, match=r"diverged at step 42$"):
         evolve_jta(cfg, trace)
 

@@ -12,7 +12,7 @@ from taperfwm.spectral import omega_axis
 from _reference import reference_pumps
 
 FAST = {"n_t": 256, "n_z": 200}
-TRACE_ARRAYS = ("a_p1_mid", "a_p2_mid", "a_p1_ends", "a_p2_ends")
+TRACE_ARRAYS = ("mid", "ends")
 
 
 def _cfg(**kw):
@@ -32,10 +32,10 @@ def test_initial_centers_and_peaks():
     cfg = _cfg(pump={"tau": 0.0})
     g = cfg.grid()
     env = initial_envelopes(cfg)
-    assert _centroid(g.t_axis, env.a_p1) == pytest.approx(0.0, abs=g.dt)
-    assert _centroid(g.t_axis, env.a_p2) == pytest.approx(0.0, abs=g.dt)
+    assert _centroid(g.t_axis, env[0]) == pytest.approx(0.0, abs=g.dt)
+    assert _centroid(g.t_axis, env[1]) == pytest.approx(0.0, abs=g.dt)
     rp = derive_run_params(cfg)
-    assert np.max(np.abs(env.a_p1)) ** 2 == pytest.approx(rp.p_peak_1, rel=1e-9)
+    assert np.max(np.abs(env[0])) ** 2 == pytest.approx(rp.p_peak_1, rel=1e-9)
 
 
 def test_initial_delay_places_pump1_late():
@@ -44,15 +44,15 @@ def test_initial_delay_places_pump1_late():
     g = cfg.grid()
     env = initial_envelopes(cfg)
     # full walk-through delay corresponds to L / L_w,p = 6 pulse widths
-    assert _centroid(g.t_axis, env.a_p1) == pytest.approx(6.0, abs=g.dt)
-    assert _centroid(g.t_axis, env.a_p2) == pytest.approx(0.0, abs=g.dt)
+    assert _centroid(g.t_axis, env[0]) == pytest.approx(6.0, abs=g.dt)
+    assert _centroid(g.t_axis, env[1]) == pytest.approx(0.0, abs=g.dt)
 
 
 def test_zero_power_is_zero():
     cfg = _cfg(pump={"avg_power": 0.0})
     env = initial_envelopes(cfg)
-    assert np.all(env.a_p1 == 0.0)
-    assert np.all(env.a_p2 == 0.0)
+    assert np.all(env[0] == 0.0)
+    assert np.all(env[1] == 0.0)
 
 
 def test_pure_loss_energy():
@@ -60,8 +60,7 @@ def test_pure_loss_energy():
     trace = propagate_pumps(cfg)
     g = cfg.grid()
     z_cm = 100.0 * trace.z_mid
-    for mid, ends, dbcm in ((trace.a_p1_mid, trace.a_p1_ends, 0.4),
-                            (trace.a_p2_mid, trace.a_p2_ends, 0.2)):
+    for mid, ends, dbcm in zip(trace.mid, trace.ends, (0.4, 0.2)):
         e0 = _energy(ends[0], g.dt)
         assert _energy(ends[1], g.dt) / e0 == pytest.approx(10 ** (-dbcm * 1.5 / 10.0), rel=1e-9)
         ratios = np.array([_energy(a, g.dt) for a in mid]) / e0
@@ -76,16 +75,16 @@ def test_walkoff_translates_pump2_exactly():
     g = cfg.grid()
     trace = propagate_pumps(cfg)
     # pump 2 (slow) advects by L / L_w,p = 6 units; pump 1 defines the frame
-    c2_in = _centroid(g.t_axis, trace.a_p2_ends[0])
-    c2_out = _centroid(g.t_axis, trace.a_p2_ends[1])
+    c2_in = _centroid(g.t_axis, trace.ends[1, 0])
+    c2_out = _centroid(g.t_axis, trace.ends[1, 1])
     assert c2_out - c2_in == pytest.approx(6.0, abs=1e-9)
-    c1_in = _centroid(g.t_axis, trace.a_p1_ends[0])
-    c1_out = _centroid(g.t_axis, trace.a_p1_ends[1])
+    c1_in = _centroid(g.t_axis, trace.ends[0, 0])
+    c1_out = _centroid(g.t_axis, trace.ends[0, 1])
     assert c1_out - c1_in == pytest.approx(0.0, abs=1e-9)
     # shape undistorted: translated input equals output
     w = omega_axis(g.n, g.dt)
-    ref = np.fft.fft(np.fft.ifft(trace.a_p2_ends[0]) * np.exp(1j * w * 6.0))
-    assert np.max(np.abs(ref - trace.a_p2_ends[1])) <= 1e-10 * np.max(np.abs(ref))
+    ref = np.fft.fft(np.fft.ifft(trace.ends[1, 0]) * np.exp(1j * w * 6.0))
+    assert np.max(np.abs(ref - trace.ends[1, 1])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_spm_phase_and_energy():
@@ -97,7 +96,7 @@ def test_spm_phase_and_energy():
     g = cfg.grid()
     rp = derive_run_params(cfg)
     trace = propagate_pumps(cfg)
-    a0, a_end = trace.a_p1_ends
+    a0, a_end = trace.ends[0]
     assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-10)
     k = int(np.argmax(np.abs(a_end)))
     phase = np.angle(a_end[k] / a0[k])
@@ -115,24 +114,24 @@ def test_linear_dispersion_matches_exact_propagator():
     w = omega_axis(g.n, g.dt)
     L = cfg.geometry.length
     mult = np.exp(0.5j * w**2 * L / cfg.dispersion.l_d_p1)
-    ref = np.fft.fft(np.fft.ifft(trace.a_p1_ends[0]) * mult)
-    assert np.max(np.abs(ref - trace.a_p1_ends[1])) <= 1e-10 * np.max(np.abs(ref))
+    ref = np.fft.fft(np.fft.ifft(trace.ends[0, 0]) * mult)
+    assert np.max(np.abs(ref - trace.ends[0, 1])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_lossless_nonlinear_energy_conservation():
     cfg = _cfg(dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12})
     g = cfg.grid()
     trace = propagate_pumps(cfg)
-    for a0, a_end in (trace.a_p1_ends, trace.a_p2_ends):
+    for a0, a_end in trace.ends:
         assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-9)
 
 
 def test_step_halving_convergence_order():
     cfg = _cfg(numerics={"n_z": 100})
-    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800})).a_p2_ends[1]
+    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800})).ends[1, 1]
 
     def err(n_z):
-        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z})).a_p2_ends[1]
+        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z})).ends[1, 1]
         return np.linalg.norm(out - ref)
 
     assert err(100) / err(200) >= 3.5
@@ -177,11 +176,23 @@ def test_stacked_stepper_matches_per_pump_reference():
     th_mid = mismatch_phase(cfg, trace.z_mid)[:, None]
     # the reference holds every sub-step: even rows are nodes, odd rows
     # midpoints; the trace keeps the first and last node
-    for got, theta, w, ref in ((trace.a_p1_ends, th_ends, weights[0], ref1[[0, -1]]),
-                               (trace.a_p2_ends, th_ends, weights[1], ref2[[0, -1]]),
-                               (trace.a_p1_mid, th_mid, weights[0], ref1[1::2]),
-                               (trace.a_p2_mid, th_mid, weights[1], ref2[1::2])):
+    for got, theta, w, ref in ((trace.ends[0], th_ends, weights[0], ref1[[0, -1]]),
+                               (trace.ends[1], th_ends, weights[1], ref2[[0, -1]]),
+                               (trace.mid[0], th_mid, weights[0], ref1[1::2]),
+                               (trace.mid[1], th_mid, weights[1], ref2[1::2])):
         assert np.max(np.abs(got * np.exp(1j * w * theta) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_trace_is_the_z_step_plan():
+    cfg = _cfg(numerics={"n_t": 128, "n_z": 100})
+    trace = propagate_pumps(cfg)
+    n_z, n_t = cfg.numerics.n_z, cfg.numerics.n_t
+    assert trace.n_z == n_z
+    assert trace.h == cfg.geometry.length / n_z
+    assert trace.z_nodes[-1] == cfg.geometry.length
+    assert np.array_equal(trace.z_mid, trace.z_nodes[:-1] + trace.h / 2.0)
+    assert trace.mid.shape == (2, n_z, n_t) and trace.ends.shape == (2, 2, n_t)
+    assert np.array_equal(trace.ends[:, 0], initial_envelopes(cfg))
 
 
 def test_pump_trace_is_geometry_free():
@@ -214,7 +225,7 @@ def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
 def test_nan_envelope_raises_at_first_step(monkeypatch):
     cfg = _cfg()
     env = initial_envelopes(cfg)
-    env.a_p2[5] = np.nan
+    env[1, 5] = np.nan
     monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
     with pytest.raises(PropagationError, match=r"diverged at step 1$"):
         propagate_pumps(cfg)
