@@ -19,11 +19,17 @@ from .interference import evaluate_pair, optimize_delays
 from .jta import JointAmplitude, jta_to_jsa, snapshot_nodes
 from .metrics import spectral_cumulative
 from .pumps import PropagationError
-from .simulate import ValidationFailure, WorkerPool, run_source
+from .simulate import WorkerPool, run_source
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the failures main maps to an exit code: EXIT_CONFIG for BAD_INPUT,
+# EXIT_NUMERICAL for the rest; a sweep point that raises one becomes an
+# error row
+BAD_INPUT = (ConfigError, FileNotFoundError)
+RUN_FAILURES = (*BAD_INPUT, PropagationError, ValueError)
 
 SWEEP_PARAMS = {
     "tau": ("pump", "tau"),
@@ -68,10 +74,7 @@ def _snapshot_jsas(writer: io.ArtifactWriter, result, dump_jta: bool, dump_jsa: 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    try:
-        snapshot_nodes(args.snapshots, cfg.numerics.n_z)
-    except ValueError as exc:
-        raise ConfigError(f"--snapshots: {exc}") from exc
+    snapshot_nodes(args.snapshots, cfg.numerics.n_z)
     writer = io.ArtifactWriter("simulate", args.output, [cfg])
     out = run_source(cfg, keep_pump_trace=args.dump_pumps, snapshots=args.snapshots)
     if args.dump_pumps:
@@ -98,7 +101,7 @@ def _sweep_point(payload):
     try:
         metrics = run_source(_with_param(cfg, param, value)).metrics
         return io.sweep_row(index, param, value, metrics)
-    except (ValidationFailure, PropagationError, FloatingPointError) as exc:
+    except RUN_FAILURES as exc:
         return io.sweep_row(index, param, value, None, error=str(exc))
 
 
@@ -106,8 +109,6 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     cfg = load_config(args.config)
-    if args.param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = np.linspace(args.start, args.stop, args.steps)
     payloads = [(k, cfg, args.param, float(v)) for k, v in enumerate(values)]
     writer = io.ArtifactWriter("sweep", args.output, [cfg])
@@ -145,11 +146,8 @@ def cmd_pair(args) -> int:
             "shift_s": opt.shift_s,
             "shift_i": opt.shift_i,
         }
-        with open(writer.path("candidates.csv"), "w") as fh:
-            fh.write("tau1,tau2,v\n")
-            for t1, t2, v in opt.candidates:
-                fh.write(f"{t1:.17g},{t2:.17g},{v:.17g}\n")
-        writer.add(writer.path("candidates.csv"))
+        writer.add(io.write_csv(writer.path("candidates.csv"), ["tau1", "tau2", "v"],
+                                opt.candidates))
     writer.add(io.write_json(doc, writer.path("pair.json")))
     writer.finish()
     return EXIT_OK
@@ -175,12 +173,10 @@ def cmd_oracle(args) -> int:
         "reliable": fit.reliable,
     }
     writer.add(io.write_json(doc, writer.path("erf_fit.json")))
-    model = erf_xi_profile(cfg, out.result.xi_profile.z_nodes, plateau=fit.plateau)
-    with open(writer.path("erf_overlay.csv"), "w") as fh:
-        fh.write("z_over_L,xi_solver,xi_erf\n")
-        for z, a, b in zip(out.result.xi_profile.z_nodes, out.result.xi_profile.xi, model):
-            fh.write(f"{z / L:.17g},{a:.17g},{b:.17g}\n")
-    writer.add(writer.path("erf_overlay.csv"))
+    prof = out.result.xi_profile
+    model = erf_xi_profile(cfg, prof.z_nodes, plateau=fit.plateau)
+    writer.add(io.write_csv(writer.path("erf_overlay.csv"), ["z_over_L", "xi_solver", "xi_erf"],
+                            ([z / L, a, b] for z, a, b in zip(prof.z_nodes, prof.xi, model))))
     writer.finish()
     return EXIT_OK
 
@@ -204,11 +200,8 @@ def cmd_convergence(args) -> int:
         c = cfg.replace(numerics={"n_t": n_t, "n_z": n_z * 2**k})
         m = run_source(c).metrics
         rows.append((n_t, n_z * 2**k, m.xi, m.purity, m.dlam_s))
-    with open(writer.path("convergence.csv"), "w") as fh:
-        fh.write("n_t,n_z,xi,purity,dlam_s\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g}\n")
-    writer.add(writer.path("convergence.csv"))
+    writer.add(io.write_csv(writer.path("convergence.csv"),
+                            ["n_t", "n_z", "xi", "purity", "dlam_s"], rows))
     writer.finish()
     last_rel = abs(rows[-1][2] - rows[-2][2]) / abs(rows[-1][2])
     print(f"last n_z doubling changed xi by {last_rel:.2e}")
@@ -279,10 +272,10 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (ConfigError, ValidationFailure, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (PropagationError, FloatingPointError, ValueError) as exc:
+        except RUN_FAILURES as exc:
+            if isinstance(exc, BAD_INPUT):
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
 

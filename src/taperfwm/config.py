@@ -385,15 +385,19 @@ class ConfigWarning(UserWarning):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float: JSON (RFC 8259) has no NaN or Infinity,
+    and no field takes one (dispersion is switched off by its flag)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # what a config document may give for a field, by the field's annotation
 _FIELD_KINDS = {
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple": ("two numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+    "tuple": ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
               and all(map(_is_number, v))),
 }
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Grid, SourceConfig, derive_run_params
+from .config import ConfigError, Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
 from .pumps import PropagationError, PumpTrace
 from .spectral import linear_exponents, omega_axis
@@ -149,15 +149,13 @@ def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
     if count == 0:
         return np.empty(0, int)
     if not 2 <= count <= n_z + 1:
-        raise ValueError(f"snapshots must be 0 or between 2 and n_z + 1 = {n_z + 1}, got {count}")
+        raise ConfigError(f"snapshots must be 0 or between 2 and n_z + 1 = {n_z + 1}, got {count}")
     return np.round(np.linspace(0, n_z, count)).astype(int)
 
 
 def evolve_jta(
     cfg: SourceConfig,
     pump_trace: PumpTrace,
-    initial: JointAmplitude | None = None,
-    include_source: bool = True,
     snapshots: int = 0,
 ) -> SimulationResult:
     """Integrate the driven JTA equation in lockstep with the pump trace.
@@ -193,14 +191,9 @@ def evolve_jta(
     # the state: time domain around the nonlinear part of a step, frequency
     # domain (the unnormalized ifft2 of the time values) between steps
     state = np.zeros((n, n), complex)
-    if initial is not None:
-        if initial.domain != "time":
-            raise ValueError("initial amplitude must be in the time domain")
-        state[...] = initial.values
     diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
 
-    xi = np.empty(n_z + 1)
-    xi[0] = sum_abs2(state) * dt * dt
+    xi = np.zeros(n_z + 1)
 
     snap_nodes = set(snapshot_nodes(snapshots, n_z).tolist())
     snaps = []
@@ -233,11 +226,8 @@ def evolve_jta(
             state *= np.exp(1j * h * ns)[:, None]
             state *= np.exp(1j * h * ni)[None, :]
 
-        if include_source:
-            gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
-            diag += h * src_diag
-        else:
-            gain = 0.0
+        gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
+        diag += h * src_diag
 
         ifft2(state)
 

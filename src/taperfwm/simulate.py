@@ -7,21 +7,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import SourceConfig, validate_config
+from .config import ConfigError, SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta
 from .metrics import MetricsReport, compute_metrics
 from .pumps import PumpTrace, propagate_pumps
-
-
-class ValidationFailure(ValueError):
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = errors
-
-    def __reduce__(self):
-        # unpickling (a run in a worker process) rebuilds from the list,
-        # not from the joined message
-        return type(self), (self.errors,)
 
 
 @dataclass
@@ -74,7 +63,7 @@ def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int 
     nothing else, so the run is bitwise the same."""
     rep = validate_config(cfg)
     if not rep.ok:
-        raise ValidationFailure(rep.errors)
+        raise ConfigError("; ".join(rep.errors))
     trace = pump_trace
     if trace is None:
         trace = propagate_pumps(cfg)

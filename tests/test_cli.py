@@ -25,6 +25,14 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _crlf_lines(path):
+    """The lines of a file in the one artifact CSV dialect, every one ended
+    by CRLF."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    return raw.decode().splitlines()
+
+
 def test_simulate_artifacts(cfg_path, tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "-c", str(cfg_path), "-o", str(out),
@@ -173,6 +181,18 @@ def test_sweep_error_rows_do_not_abort(cfg_path, tmp_path):
     assert rows[-1]["error"]
 
 
+def test_sweep_metrics_failure_is_a_row(cfg_path, tmp_path):
+    # zero pump power generates no pair, so the metrics refuse the point;
+    # the sweep goes on
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "avg_power",
+               "--from", "0", "--to", "1e-3", "--steps", "3", "--jobs", "1"])
+    assert rc == 3
+    rows = _read_csv(out / "sweep.csv")
+    assert [r["status"] for r in rows] == ["error", "ok", "ok"]
+    assert rows[0]["error"] == "purity undefined for a zero amplitude"
+
+
 def test_pair_identical_sources(cfg_path, tmp_path):
     out = tmp_path / "pair"
     rc = main(["pair", "-c1", str(cfg_path), "-c2", str(cfg_path), "-o", str(out)])
@@ -194,6 +214,7 @@ def test_pair_optimize(cfg_path, tmp_path):
     assert doc["optimized"]["tau2"] == pytest.approx(tm / 2, abs=tm / 200)
     cands = _read_csv(out / "candidates.csv")
     assert len(cands) > 10
+    assert _crlf_lines(out / "candidates.csv")[0] == "tau1,tau2,v"
 
 
 def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkeypatch):
@@ -251,7 +272,7 @@ def test_oracle_erf_fit(cfg_path, tmp_path):
     doc = json.loads((out / "erf_fit.json").read_text())
     assert doc["l_match_fit"] == pytest.approx(doc["l_match_analytic"], rel=0.1)
     assert doc["reliable"]
-    overlay = (out / "erf_overlay.csv").read_text().strip().splitlines()
+    overlay = _crlf_lines(out / "erf_overlay.csv")
     assert overlay[0] == "z_over_L,xi_solver,xi_erf"
     assert len(overlay) == 101 + 1
 
@@ -262,6 +283,7 @@ def test_convergence(cfg_path, tmp_path, capsys):
     assert rc == 0
     rows = _read_csv(out / "convergence.csv")
     assert [int(r["n_z"]) for r in rows] == [100, 200, 400]
+    assert _crlf_lines(out / "convergence.csv")[0] == "n_t,n_z,xi,purity,dlam_s"
     rel = abs(float(rows[2]["xi"]) - float(rows[1]["xi"])) / float(rows[2]["xi"])
     assert rel < 1e-3
     printed = capsys.readouterr().out
@@ -304,6 +326,10 @@ BAD_INPUTS = {
     "tau-string": ("simulate", {"pump": {"tau": "1e-12"}}, []),
     "t_window-number": ("simulate", {"numerics": {"t_window": 5}}, []),
     "t_window-three": ("simulate", {"numerics": {"t_window": [0, 1, 2]}}, []),
+    "avg_power-infinity": ("simulate", {"defaults": "table1", "numerics": FAST,
+                                        "pump": {"avg_power": float("inf")}}, []),
+    "t_window-nan": ("simulate", {"defaults": "table1",
+                                  "numerics": {**FAST, "t_window": [-4, float("nan")]}}, []),
     "steps-zero": ("sweep", _fast_doc(), ["--steps", "0"]),
     "steps-negative": ("sweep", _fast_doc(), ["--steps", "-1"]),
     "pair-grids": ("pair", _fast_doc(), [_fast_doc(n_t=128)]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from taperfwm import interference, run_source, table1_config
-from taperfwm.config import tau_max_of
+from taperfwm.config import ConfigError, tau_max_of
 from taperfwm.interference import (
     align_arrival_times,
     apply_time_shift,
@@ -20,7 +20,7 @@ from taperfwm.interference import (
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import arrival_times, heralded_purity
 from taperfwm import simulate
-from taperfwm.simulate import ValidationFailure, WorkerPool
+from taperfwm.simulate import WorkerPool
 
 T0 = 0.8e-12
 FAST = {"n_t": 64, "n_z": 100}
@@ -376,25 +376,25 @@ def test_pool_workers_are_joined(monkeypatch, fast_cfg):
     optimize_delays(fast_cfg, cfg2, coarse_points=3)
     assert multiprocessing.active_children() == []
     bad = fast_cfg.replace(numerics={"n_z": 50})
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ConfigError):
         optimize_delays(bad, bad, coarse_points=3)
     assert multiprocessing.active_children() == []
 
 
 def test_validation_failure_pickles_intact():
-    errors = ["numerics.n_z must be >= 100", "pump.rep_rate must be > 0"]
-    exc = pickle.loads(pickle.dumps(ValidationFailure(errors)))
-    assert isinstance(exc, ValidationFailure)
-    assert exc.errors == errors
-    assert str(exc) == "numerics.n_z must be >= 100; pump.rep_rate must be > 0"
+    cfg = table1_config(numerics={"n_t": 64, "n_z": 50}, pump={"rep_rate": 0.0})
+    with pytest.raises(ConfigError) as info:
+        run_source(cfg)
+    exc = pickle.loads(pickle.dumps(info.value))
+    assert isinstance(exc, ConfigError)
+    assert str(exc) == "pump.rep_rate must be > 0; numerics.n_z must be >= 100"
 
 
 def test_worker_validation_failure_reaches_caller(monkeypatch):
     _pooled(monkeypatch)
     cfg = table1_config(numerics={"n_t": 128, "n_z": 50})
-    with pytest.raises(ValidationFailure) as info:
+    with pytest.raises(ConfigError) as info:
         evaluate_pair(cfg, cfg)
-    assert info.value.errors == ["numerics.n_z must be >= 100"]
     assert str(info.value) == "numerics.n_z must be >= 100"
 
 

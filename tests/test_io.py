@@ -97,6 +97,11 @@ def test_manifest_lists_everything(fast_run, tmp_path):
     assert set(doc["files"]) == {"metrics.json", "final_jta.cjm1", "final_jta.cjm1.json"}
     assert doc["command"] == "simulate"
     assert all(len(h) == 64 for h in doc["files"].values())
+    # every JSON artifact has one layout: sorted keys, two-space indent, a
+    # final newline
+    for name in ("metrics.json", "final_jta.cjm1.json", "manifest.json"):
+        text = w.path(name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 def test_envelope_csv(fast_run, tmp_path):
@@ -107,3 +112,11 @@ def test_envelope_csv(fast_run, tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "T,re_a_p1,im_a_p1,re_a_p2,im_a_p2"
     assert len(lines) == n + 1
+
+
+def test_csv_dialect(tmp_path):
+    p = io.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+                     [[0.1, np.float64(1 / 3), 7, "x"], [float("-inf"), 2.0, np.int64(3), ""]])
+    assert p.read_bytes() == (b"a,b,c,d\r\n0.10000000000000001,0.33333333333333331,7,x\r\n"
+                              b"-inf,2,3,\r\n")
+

@@ -100,18 +100,27 @@ def test_generation_rises_after_match_point(fast_run):
     assert early.max() <= 0.05 * prof.xi[-1]
 
 
-def test_loss_decay_with_source_off():
-    # restarting from a generated state with the source off, xi decays at
-    # exactly alpha_s + alpha_i
+def test_loss_decay_with_source_off(monkeypatch):
+    # with the source switched off halfway (XPM left on), xi decays at
+    # exactly alpha_s + alpha_i, and the stepped norm meets the bookkeeping
     cfg = _cfg()
     trace = propagate_pumps(cfg)
+    half = trace.n_z // 2
+    real_step_drives = jta.step_drives
+
+    def source_off_from_half(cfg, trace):
+        for k, (a1, a2, src) in enumerate(real_step_drives(cfg, trace)):
+            yield a1, a2, (src if k < half else np.zeros_like(src))
+
+    monkeypatch.setattr(jta, "step_drives", source_off_from_half)
     res = evolve_jta(cfg, trace)
-    res2 = evolve_jta(cfg, trace, initial=res.jta, include_source=False)
     rp = derive_run_params(cfg)
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
-    prof = res2.xi_profile
-    model = prof.xi[0] * np.exp(-sigma * prof.z_nodes)
-    assert np.max(np.abs(prof.xi - model) / model) <= 1e-6
+    z, xi = res.xi_profile.z_nodes, res.xi_profile.xi
+    model = xi[half] * np.exp(-sigma * (z[half:] - z[half]))
+    assert xi[half] > 0.0
+    assert np.max(np.abs(xi[half:] - model) / model) <= 1e-6
+    assert res.jta.norm_sq == pytest.approx(xi[-1], rel=1e-10)
 
 
 def test_quadratic_power_scaling():
