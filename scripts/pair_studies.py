@@ -6,11 +6,11 @@ raw (delay tau_max/2 on both) and delay-optimized RHOM/HHOM visibilities.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from taperfwm import table1_config
 from taperfwm.interference import evaluate_pair, optimize_delays
+from taperfwm.io import write_csv
 
 
 def main():
@@ -30,26 +30,29 @@ def main():
     cfg1 = table1_config(numerics={"n_t": args.n_t, "n_z": args.n_z},
                          geometry={"taper_amplitude": args.taper_um * 1e-6})
     runs = {}  # the source runs of the scan: source 1 is the same at every offset
-    path = args.output / f"{args.error}_error.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["offset_nm", "raw_v_rhom", "raw_v_hhom",
-                    "opt_v_rhom", "opt_v_hhom", "opt_tau1_ps", "opt_tau2_ps"])
+
+    def rows():
+        """One row per offset, yielded as each is done: an offset that fails
+        leaves the rows before it in the file."""
+        nonlocal runs
         for off in args.offsets_nm:
             cfg2 = cfg1.replace(geometry={key: off * 1e-9})
             raw = evaluate_pair(cfg1, cfg2, runs)
-            row = [f"{off:.2f}", f"{raw.v_rhom:.6f}", f"{raw.v_hhom:.6f}"]
             if args.skip_optimize:
-                row += ["", "", "", ""]
+                opt_cells = ["", "", "", ""]
             else:
                 opt = optimize_delays(cfg1, cfg2, runs=runs)
-                row += [f"{opt.v_rhom:.6f}", f"{opt.v_hhom:.6f}",
-                        f"{opt.optimal_tau1 * 1e12:.3f}", f"{opt.optimal_tau2 * 1e12:.3f}"]
-            w.writerow(row)
+                opt_cells = [opt.v_rhom, opt.v_hhom,
+                             opt.optimal_tau1 * 1e12, opt.optimal_tau2 * 1e12]
+            yield [off, raw.v_rhom, raw.v_hhom, *opt_cells]
             # the next offsets reuse source 1's runs only
             runs = {cfg: jta for cfg, jta in runs.items() if cfg.replace(pump=cfg1.pump) == cfg1}
             print(f"{args.error} offset {off:.2f} nm: raw rhom={raw.v_rhom:.4f}"
-                  + ("" if args.skip_optimize else f", opt rhom={row[3]}"))
+                  + ("" if args.skip_optimize else f", opt rhom={opt.v_rhom:.4f}"))
+
+    path = write_csv(args.output / f"{args.error}_error.csv",
+                     ["offset_nm", "raw_v_rhom", "raw_v_hhom",
+                      "opt_v_rhom", "opt_v_hhom", "opt_tau1_ps", "opt_tau2_ps"], rows())
     print(f"wrote {path}")
 
 

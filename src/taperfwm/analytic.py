@@ -28,12 +28,8 @@ def sigma_z_analytic(cfg: SourceConfig) -> float:
 def erf_xi_profile(cfg: SourceConfig, z_nodes, plateau: float = 1.0) -> np.ndarray:
     """Cumulative pair probability model: an erf step of width sigma_z
     centered on the pump collision point."""
-    from scipy.special import erf
-
-    rp = derive_run_params(cfg)
-    sz = sigma_z_analytic(cfg)
     z = np.asarray(z_nodes, dtype=float)
-    return 0.5 * plateau * (1.0 + erf((z - rp.l_match) / (np.sqrt(2.0) * sz)))
+    return _erf_model(z, plateau, derive_run_params(cfg).l_match, sigma_z_analytic(cfg))
 
 
 def _erf_model(z, plateau, l_match, sigma_z):

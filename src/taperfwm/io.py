@@ -5,6 +5,7 @@ JSON file through _write_json, so all artifacts share one text format."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import struct
@@ -120,13 +121,8 @@ def write_envelopes_csv(t_axis, a_p1, a_p2, path) -> Path:
                       for t, v1, v2 in zip(t_axis, a_p1, a_p2)))
 
 
-SWEEP_COLUMNS = [
-    "index", "param", "value", "status",
-    "xi", "purity", "schmidt_number",
-    "dlam_s", "dlam_i",
-    "arrival_mean_s", "arrival_mean_i", "arrival_std_s", "arrival_std_i",
-    "ec_deviation", "error",
-]
+SWEEP_COLUMNS = ["index", "param", "value", "status",
+                 *(f.name for f in dataclasses.fields(MetricsReport)), "error"]
 
 
 def sweep_row(index: int, param: str, value: float, metrics: MetricsReport | None,

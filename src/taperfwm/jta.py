@@ -8,7 +8,6 @@ envelopes and the stepped amplitude carry no mismatch phase of their own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 from .config import ConfigError, Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
 from .pumps import PropagationError, PumpTrace
-from .spectral import linear_exponents, omega_axis
+from .spectral import linear_exponents
 
 
 def sum_abs2(a: np.ndarray) -> float:
@@ -55,53 +54,48 @@ class JointAmplitude:
         return sum_abs2(self.values) * self.cell_measure()
 
 
+def _sorted_axis_factors(g: Grid):
+    """The two per-axis factors of the unitary transform on the sorted axis
+    g.w_axis: the sign (-1)^k on the time samples, which for even n turns
+    the ifft of a row into its fftshifted ifft, and the phase and scale of
+    the grid's time origin at each sorted frequency."""
+    if g.n % 2:
+        raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
+    sign = np.resize([1.0, -1.0], g.n)
+    factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * g.w_axis * g.t_axis[0])
+    return sign, factor
+
+
 def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
     """Unitary two-dimensional transform to the dual frequency grid.
 
     The result is aligned with the sorted grid.w_axis on both axes and
     preserves the physical norm exactly.  The transform fills one new
-    buffer, on which the phase factors act in place.
+    buffer and works on it in place.
     """
     if phi.domain != "time":
         raise ValueError("jta_to_jsa expects a time-domain amplitude")
-    g = phi.grid
-    w = omega_axis(g.n, g.dt)
-    factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * w * g.t_axis[0])
-    spec = np.fft.ifftn(phi.values, axes=(0, 1), out=np.empty(phi.values.shape, complex))
+    sign, factor = _sorted_axis_factors(phi.grid)
+    spec = np.multiply(phi.values, sign[:, None], dtype=complex)
+    spec *= sign[None, :]
+    np.fft.ifftn(spec, axes=(0, 1), out=spec)
     spec *= factor[:, None]
     spec *= factor[None, :]
-    return JointAmplitude(values=_fftshift_in_place(spec), domain="frequency", grid=g, z=phi.z,
+    return JointAmplitude(values=spec, domain="frequency", grid=phi.grid, z=phi.z,
                           norm_sq=phi.norm_sq)
 
 
-def _fftshift_in_place(a: np.ndarray) -> np.ndarray:
-    """np.fft.fftshift of a square matrix, in place: row i moves to row
-    i + n//2 (mod n), rolled by n//2, along the cycles of that map, with
-    one row held aside at a time."""
-    n = a.shape[0]
-    k = n // 2
-    for start in range(math.gcd(n, k)):
-        carry = np.roll(a[start], k)
-        j = (start + k) % n
-        while j != start:
-            carry, a[j] = np.roll(a[j], k), carry
-            j = (j + k) % n
-        a[start] = carry
-    return a
-
-
 def jsa_to_jta(phi: JointAmplitude) -> JointAmplitude:
+    """The inverse of jta_to_jsa, on one new buffer."""
     if phi.domain != "frequency":
         raise ValueError("jsa_to_jta expects a frequency-domain amplitude")
-    g = phi.grid
-    n = g.n
-    w = omega_axis(n, g.dt)
-    scale = n * g.dt / np.sqrt(2.0 * np.pi)
-    offset = np.exp(1j * w * g.t_axis[0])
-    spec = np.fft.ifftshift(phi.values)
-    spec = spec / ((scale * offset)[:, None] * (scale * offset)[None, :])
-    vals = np.fft.fft2(spec)
-    return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
+    sign, factor = _sorted_axis_factors(phi.grid)
+    vals = phi.values / factor[:, None]
+    vals /= factor[None, :]
+    np.fft.fftn(vals, axes=(0, 1), out=vals)
+    vals *= sign[:, None]
+    vals *= sign[None, :]
+    return JointAmplitude(values=vals, domain="time", grid=phi.grid, z=phi.z, norm_sq=phi.norm_sq)
 
 
 @dataclass
@@ -163,12 +157,13 @@ def evolve_jta(
     Each step is a symmetrized split step: a linear half-step in the
     frequency domain, the signal/idler XPM phase and the source injection
     on the time grid at the pump midpoint, and a second linear half-step.
-    Between two steps whose shared node needs no physical state, the
-    trailing half-step and the next leading one are fused into a single
-    full-step multiplier.  The state lives in one n x n buffer that is
-    transformed in place; the physical state is formed, from the 1-D
-    half-step factors, only at the `snapshots` evenly spaced nodes (see
-    snapshot_nodes) and at the end.
+    At every interior node the trailing half-step and the next leading one
+    are fused into a single full-step multiplier.  The state lives in one
+    n x n buffer that is transformed in place.  A snapshot at one of the
+    `snapshots` evenly spaced nodes (see snapshot_nodes) is formed from a
+    copy, by the 1-D half-step factors, and leaves the state alone, so the
+    result does not depend on the snapshots; only the last node applies
+    its half-step to the state itself.
 
     xi(z) at every node is the exact discrete loss/source bookkeeping, an
     O(n) recursion on the diagonal; a non-finite xi stops the run at that
@@ -240,11 +235,11 @@ def evolve_jta(
 
         if k + 1 == n_z:
             half_step(state)
-        elif (k + 1) in snap_nodes:
-            half_step(state)
-            snaps.append(physical(k + 1, fft2(state.copy())))
-            half_step(state)
         else:
+            if (k + 1) in snap_nodes:
+                snap = state * half_s
+                snap *= half_i
+                snaps.append(physical(k + 1, fft2(snap)))
             state *= full_mult
 
     final = physical(n_z, fft2(state))

@@ -50,7 +50,9 @@ def heralded_purity(phi: JointAmplitude) -> float:
     return gram_sq / norm_sq**2
 
 
-def _marginals(phi: JointAmplitude):
+def marginals(phi: JointAmplitude):
+    """The Signal and Idler intensity marginals, sum |phi|^2 over the other
+    axis, in the amplitude's own domain."""
     inten = np.abs(phi.values)
     inten *= inten
     return inten.sum(axis=1), inten.sum(axis=0)
@@ -59,7 +61,7 @@ def _marginals(phi: JointAmplitude):
 def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     """Mean wavelength shift of each photon about its reference wavelength."""
     jsa = in_domain(phi, "frequency")
-    ms, mi = _marginals(jsa)
+    ms, mi = marginals(jsa)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("mean shift undefined for a zero amplitude")
@@ -76,7 +78,7 @@ def arrival_times(phi: JointAmplitude, t0_fwhm: float):
     """First and second moments of the temporal marginals, in seconds in the
     common pump-1 moving frame."""
     jta = in_domain(phi, "time")
-    ms, mi = _marginals(jta)
+    ms, mi = marginals(jta)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("arrival times undefined for a zero amplitude")
@@ -114,7 +116,7 @@ def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
 
 def _idler_spectrum(phi: JointAmplitude):
     jsa = in_domain(phi, "frequency")
-    return phi.z, phi.grid, (np.abs(jsa.values) ** 2).sum(axis=0) * jsa.grid.dw
+    return phi.z, phi.grid, marginals(jsa)[1] * jsa.grid.dw
 
 
 def spectral_cumulative(snapshots):

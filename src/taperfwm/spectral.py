@@ -18,11 +18,6 @@ def omega_axis(n: int, dt: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
 
 
-def shift_multiplier(omega, a):
-    """Multiplier realizing phi(T) -> phi(T + a)."""
-    return np.exp(-1j * omega * a)
-
-
 def linear_exponents(cfg: SourceConfig, grid: Grid, fields) -> np.ndarray:
     """Per-unit-length linear-operator exponents of the named fields ("p1",
     "p2", "s", "i"), one row each on the unshifted grid: loss, drift from

@@ -101,6 +101,15 @@ def spectral_source(a1, a2, grid, gamma_fwm, theta):
     return np.fft.fft2(ridge)
 
 
+def reference_jsa(values, grid):
+    """The JSA by the textbook route: the ifft2 of the time values, times
+    the scale and the time-origin phase at each unshifted frequency on both
+    axes, then np.fft.fftshift onto the sorted grid.w_axis."""
+    w = omega_axis(grid.n, grid.dt)
+    factor = grid.n * grid.dt / np.sqrt(2.0 * np.pi) * np.exp(1j * w * grid.t_axis[0])
+    return np.fft.fftshift(np.fft.ifft2(values) * factor[:, None] * factor[None, :])
+
+
 def global_phase(cfg, weights):
     """exp(-i (w_s + w_i) Theta(L)): reference JTA -> production JTA."""
     return np.exp(-1j * (weights[2] + weights[3]) * mismatch_phase(cfg, cfg.geometry.length))

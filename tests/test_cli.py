@@ -131,6 +131,14 @@ def test_simulate_deterministic(cfg_path, tmp_path):
     assert a == b
 
 
+def test_snapshots_change_no_other_output(cfg_path, tmp_path):
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "none")]) == 0
+    assert main(["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "snaps"),
+                 "--snapshots", "5"]) == 0
+    for name in ("metrics.json", "xi_profile.csv"):
+        assert (tmp_path / "none" / name).read_bytes() == (tmp_path / "snaps" / name).read_bytes()
+
+
 def test_sweep_tau_monotone_signal_shift(cfg_path, tmp_path):
     tm = tau_max_of(table1_config())
     out = tmp_path / "sweep"

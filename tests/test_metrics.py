@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taperfwm import run_source, table1_config
-from taperfwm.config import Grid, tau_max_of
+from taperfwm.config import Grid, NumericsSpec, tau_max_of
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import (
     analytic_arrival_times,
@@ -17,11 +17,12 @@ from taperfwm.metrics import (
     spectral_cumulative,
 )
 
+from _reference import reference_jsa
+
 T0 = 0.8e-12
 
 
 def _grid(n=64):
-    from taperfwm.config import NumericsSpec
     return Grid.from_numerics(NumericsSpec(n_t=n, t_window=(-8.0, 8.0)))
 
 
@@ -49,6 +50,26 @@ def test_round_trip_and_parseval():
     assert jsa.norm_sq == pytest.approx(phi.norm_sq, rel=1e-12)
     back = jsa_to_jta(jsa)
     assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("window", [(-8.0, 8.0), (-3.3, 7.9)])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_jsa_matches_the_shifted_reference(n, window):
+    g = Grid.from_numerics(NumericsSpec(n_t=n, t_window=window))
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ref = reference_jsa(vals, g)
+    jsa = jta_to_jsa(_amp(vals, g)).values
+    assert np.max(np.abs(jsa - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_transform_pair_needs_an_even_grid():
+    g = Grid.from_numerics(NumericsSpec(n_t=63, t_window=(-8.0, 8.0)))
+    vals = np.ones((63, 63), complex)
+    with pytest.raises(ValueError, match="even"):
+        jta_to_jsa(_amp(vals, g))
+    with pytest.raises(ValueError, match="even"):
+        jsa_to_jta(_amp(vals, g, domain="frequency"))
 
 
 def test_shift_theorem():

@@ -41,10 +41,9 @@ def test_pair_studies_offset_scan(tmp_path, monkeypatch):
     runpy.run_path(str(SCRIPTS / "pair_studies.py"), run_name="__main__")
     with open(tmp_path / "height_error.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["offset_nm"] for r in rows] == ["0.00", "1.00", "2.00"]
+    assert [float(r["offset_nm"]) for r in rows] == [0.0, 1.0, 2.0]
     assert all(r["opt_v_rhom"] == "" for r in rows)
-    assert [float(r["raw_v_rhom"]) for r in rows] == pytest.approx(
-        [raw[0.0], raw[1e-9], raw[2e-9]], abs=5e-7)
+    assert [float(r["raw_v_rhom"]) for r in rows] == [raw[0.0], raw[1e-9], raw[2e-9]]
     assert raw[0.0] == pytest.approx(1.0, abs=1e-12)
     assert raw[2e-9] < raw[1e-9] < 1.0
     # source 1 and the 0 nm source 2 are one configuration, run once
