@@ -108,6 +108,8 @@ def _sweep_point(payload):
 def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     cfg = load_config(args.config)
     values = np.linspace(args.start, args.stop, args.steps)
     payloads = [(k, cfg, args.param, float(v)) for k, v in enumerate(values)]

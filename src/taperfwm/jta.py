@@ -8,8 +8,11 @@ envelopes and the stepped amplitude carry no mismatch phase of their own.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from multiprocessing import parent_process
 
 import numpy as np
 
@@ -147,6 +150,28 @@ def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
     return np.round(np.linspace(0, n_z, count)).astype(int)
 
 
+def worker_count() -> int:
+    """CPUs this process may use: the worker processes of a pool of
+    independent runs, or the slabs of one JTA run."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the smallest n_t whose z-steps are split across threads: on smaller grids
+# the hand-offs between threads cost more than the split transforms save
+_SLAB_MIN_N = 512
+
+
+def _slab_count(n: int) -> int:
+    """Slabs of one z-step on an n x n grid: one per usable CPU from
+    n = _SLAB_MIN_N on, except in a pool's worker process, whose sibling
+    workers hold the other CPUs; otherwise one."""
+    if n < _SLAB_MIN_N or parent_process() is not None:
+        return 1
+    return worker_count()
+
+
 def evolve_jta(
     cfg: SourceConfig,
     pump_trace: PumpTrace,
@@ -164,6 +189,18 @@ def evolve_jta(
     copy, by the 1-D half-step factors, and leaves the state alone, so the
     result does not depend on the snapshots; only the last node applies
     its half-step to the state itself.
+
+    Each 2-D transform runs as its two 1-D passes in the order
+    np.fft.fftn(axes=(0, 1)) takes them: axis 1 over contiguous row slabs,
+    then axis 0 over column slabs, the slabs shared with helper threads
+    that live for this call only (see _slab_count).  A step's elementwise
+    work runs on each row slab ahead of its pass: the linear step the
+    state owes ahead of the forward transform, the XPM phases and the
+    injected diagonal ahead of the inverse one.  The diagonal after the
+    XPM phases, the source and the bookkeeping are formed on the calling
+    thread between the transforms.  Each 1-D transform sees the same data,
+    and each element the same operations in the same order, for any slab
+    count, so the result is bitwise that of whole-array fftn/ifftn steps.
 
     xi(z) at every node is the exact discrete loss/source bookkeeping, an
     O(n) recursion on the diagonal; a non-finite xi stops the run at that
@@ -196,53 +233,90 @@ def evolve_jta(
     def physical(k, values_time):
         return JointAmplitude(values=values_time, domain="time", grid=grid, z=float(pump_trace.z_nodes[k]))
 
-    # in-place transforms; fftn/ifftn because ifft2 drops its out= (numpy 2.4)
-    def fft2(a):
-        return np.fft.fftn(a, axes=(0, 1), out=a)
+    count = _slab_count(n)
+    slabs = [slice(n * j // count, n * (j + 1) // count) for j in range(count)]
+    helpers = ThreadPoolExecutor(count - 1) if count > 1 else None
 
-    def ifft2(a):
-        return np.fft.ifftn(a, axes=(0, 1), out=a)
+    def each_slab(fn):
+        # fn(slab) for every slab: the first on this thread, the others on the helpers
+        pending = [helpers.submit(fn, s) for s in slabs[1:]]
+        fn(slabs[0])
+        for f in pending:
+            f.result()
 
-    def half_step(a):
-        a *= half_s
-        a *= half_i
+    def transform(a, fft, before=None):
+        """a in place by fft (np.fft.fft or ifft) along axis 1 over row
+        slabs, then along axis 0 over column slabs; before(a[s], s) runs on
+        each row slab ahead of its pass."""
+        def rows(s):
+            v = a[s]
+            if before is not None:
+                before(v, s)
+            fft(v, axis=1, out=v)
 
-    if 0 in snap_nodes:
-        snaps.append(physical(0, state.copy()))
-    ifft2(state)
-    half_step(state)
+        def cols(s):
+            v = a[:, s]
+            fft(v, axis=0, out=v)
 
-    for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
-        fft2(state)
+        each_slab(rows)
+        each_slab(cols)
+        return a
 
-        if nl_on:
-            ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
-            ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-            state *= np.exp(1j * h * ns)[:, None]
-            state *= np.exp(1j * h * ni)[None, :]
+    def half_step(v, s):
+        v *= half_s[s]
+        v *= half_i
 
-        gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
-        diag += h * src_diag
+    def full_step(v, s):
+        v *= full_mult[s]
 
-        ifft2(state)
+    try:
+        if 0 in snap_nodes:
+            snaps.append(physical(0, state.copy()))
+        transform(state, np.fft.ifft)
+        owed = half_step  # the linear step the state takes ahead of its next forward pass
 
-        # exact discrete loss/source bookkeeping in the spirit of the
-        # cumulative-probability integral: losses act through the two half
-        # steps, the source is injected between them.
-        xi[k + 1] = decay_half * (decay_half * xi[k] + gain)
-        if not np.isfinite(xi[k + 1]):
-            raise PropagationError(f"JTA propagation diverged at step {k + 1}")
+        for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
+            transform(state, np.fft.fft, owed)
 
-        if k + 1 == n_z:
-            half_step(state)
-        else:
-            if (k + 1) in snap_nodes:
+            # the diagonal after the XPM phases, which the state itself
+            # takes ahead of the inverse pass
+            after_xpm = diag
+            if nl_on:
+                ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
+                ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
+                xpm_s, xpm_i = np.exp(1j * h * ns), np.exp(1j * h * ni)
+                after_xpm = diag * xpm_s
+                after_xpm *= xpm_i
+
+            gain = 2.0 * h * float(np.real(np.vdot(src_diag, after_xpm + 0.5 * h * src_diag))) * dt * dt
+            injected = after_xpm + h * src_diag
+
+            def xpm_and_source(v, s):
+                if nl_on:
+                    v *= xpm_s[s, None]
+                    v *= xpm_i
+                diag[s] = injected[s]
+
+            transform(state, np.fft.ifft, xpm_and_source)
+
+            # exact discrete loss/source bookkeeping in the spirit of the
+            # cumulative-probability integral: losses act through the two half
+            # steps, the source is injected between them.
+            xi[k + 1] = decay_half * (decay_half * xi[k] + gain)
+            if not np.isfinite(xi[k + 1]):
+                raise PropagationError(f"JTA propagation diverged at step {k + 1}")
+
+            if k + 1 < n_z and k + 1 in snap_nodes:
                 snap = state * half_s
                 snap *= half_i
-                snaps.append(physical(k + 1, fft2(snap)))
-            state *= full_mult
+                snaps.append(physical(k + 1, transform(snap, np.fft.fft)))
+            owed = full_step
 
-    final = physical(n_z, fft2(state))
+        final = physical(n_z, transform(state, np.fft.fft, half_step))
+    finally:
+        if helpers is not None:
+            helpers.shutdown()
+
     if n_z in snap_nodes:
         snaps.append(final)
     if not abs(final.norm_sq - xi[-1]) <= 1e-10 * xi[-1]:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 from .config import ConfigError, SourceConfig, validate_config
-from .jta import SimulationResult, evolve_jta
+from .jta import SimulationResult, evolve_jta, worker_count
 from .metrics import MetricsReport, compute_metrics
 from .pumps import PumpTrace, propagate_pumps
 
@@ -23,14 +22,6 @@ class RunOutput:
     def metrics(self) -> MetricsReport:
         """Computed on first access, so runs that need only the JTA skip it."""
         return compute_metrics(self.result, self.cfg)
-
-
-def worker_count() -> int:
-    """Worker processes for independent source runs: one per CPU this
-    process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class WorkerPool:

@@ -1,8 +1,9 @@
-"""Naive per-field reference steppers for the pump SSFM and the JTA, and
-the source term by direct spectral convolution.
+"""Naive per-field reference steppers for the pump SSFM and the JTA, the
+JTA stepper on whole-array transforms, and the source term by direct
+spectral convolution.
 
-The two steppers split the net mismatch phase among the four fields with
-weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
+The two per-field steppers split the net mismatch phase among the four
+fields with weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
 w_p * Theta over every linear half of a sub-step (exact Theta increments),
 the source loses (w_s + w_i) * Theta(z_mid) and the final JTA gets
 (w_s + w_i) * Theta(L) back.  Any split gives the same physical amplitude
@@ -13,9 +14,10 @@ production steppers return, having put the whole mismatch on the source.
 import numpy as np
 
 from taperfwm.config import derive_run_params
+from taperfwm.jta import snapshot_nodes, step_drives
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes
-from taperfwm.spectral import omega_axis
+from taperfwm.spectral import linear_exponents, omega_axis
 
 
 def reference_pumps(cfg, weights):
@@ -113,3 +115,50 @@ def reference_jsa(values, grid):
 def global_phase(cfg, weights):
     """exp(-i (w_s + w_i) Theta(L)): reference JTA -> production JTA."""
     return np.exp(-1j * (weights[2] + weights[3]) * mismatch_phase(cfg, cfg.geometry.length))
+
+
+def fftn_stepper(cfg, trace, snapshots):
+    """The fused JTA stepper with every 2-D transform a whole-array
+    np.fft.fftn/ifftn call and every multiplier applied to the whole state;
+    returns (final JTA values, xi at every node, snapshot values).  The
+    production stepper forms the same transforms by slabs and must match
+    it bit for bit."""
+    d, grid = cfg.dispersion, trace.grid
+    rp = derive_run_params(cfg)
+    n, n_z, h, dt = grid.n, trace.n_z, trace.h, grid.dt
+    ls, li = linear_exponents(cfg, grid, ("s", "i"))
+    half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
+    full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
+    decay_half = np.exp(-(rp.alpha_m["s"] + rp.alpha_m["i"]) * h / 2.0)
+    nodes = set(snapshot_nodes(snapshots, n_z).tolist())
+    state = np.zeros((n, n), complex)
+    diag = state.reshape(-1)[:: n + 1]
+    xi = np.zeros(n_z + 1)
+    snaps = [state.copy()] if 0 in nodes else []
+    np.fft.ifftn(state, axes=(0, 1), out=state)
+    state *= half_s
+    state *= half_i
+    for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, trace)):
+        np.fft.fftn(state, axes=(0, 1), out=state)
+        if cfg.numerics.xpm_spm_enabled:
+            ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
+            ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
+            state *= np.exp(1j * h * ns)[:, None]
+            state *= np.exp(1j * h * ni)[None, :]
+        gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
+        diag += h * src_diag
+        np.fft.ifftn(state, axes=(0, 1), out=state)
+        xi[k + 1] = decay_half * (decay_half * xi[k] + gain)
+        if k + 1 == n_z:
+            state *= half_s
+            state *= half_i
+        else:
+            if k + 1 in nodes:
+                snap = state * half_s
+                snap *= half_i
+                snaps.append(np.fft.fftn(snap, axes=(0, 1), out=snap))
+            state *= full_mult
+    np.fft.fftn(state, axes=(0, 1), out=state)
+    if n_z in nodes:
+        snaps.append(state)
+    return state, xi, snaps

@@ -340,6 +340,7 @@ BAD_INPUTS = {
                                   "numerics": {**FAST, "t_window": [-4, float("nan")]}}, []),
     "steps-zero": ("sweep", _fast_doc(), ["--steps", "0"]),
     "steps-negative": ("sweep", _fast_doc(), ["--steps", "-1"]),
+    "jobs-negative": ("sweep", _fast_doc(), ["--steps", "2", "--jobs", "-1"]),
     "pair-grids": ("pair", _fast_doc(), [_fast_doc(n_t=128)]),
 }
 

@@ -1,16 +1,23 @@
-"""Driven joint-amplitude evolution: source term, oracle, bookkeeping."""
+"""Driven joint-amplitude evolution: source term, oracle, bookkeeping,
+and the slabs of the z-step."""
+
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from taperfwm import jta, run_source, table1_config
+from taperfwm import jta, run_source, simulate, table1_config
 from taperfwm.config import derive_run_params
+from taperfwm.interference import evaluate_pair
 from taperfwm.jta import _source_diag, evolve_jta, perturbative_oracle, step_drives
 from taperfwm.metrics import jta_to_jsa
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
+from taperfwm.simulate import WorkerPool
 
-from _reference import global_phase, reference_jta, spectral_source
+from _reference import fftn_stepper, global_phase, reference_jta, spectral_source
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -238,3 +245,92 @@ def test_bookkeeping_checked_on_every_run(monkeypatch):
     trace = propagate_pumps(cfg)
     with pytest.raises(PropagationError, match="bookkeeping"):
         evolve_jta(cfg, trace)
+
+
+def _force_slabs(monkeypatch, count):
+    """Split every z-step of this process into `count` slabs, at any n_t."""
+    monkeypatch.setattr(jta, "_SLAB_MIN_N", 1)
+    monkeypatch.setattr(jta, "worker_count", lambda: count)
+
+
+@pytest.mark.parametrize("xpm, taper", [(True, 0.1e-6), (False, 0.1e-6), (True, 0.0)])
+def test_slab_count_changes_no_bit(monkeypatch, xpm, taper):
+    # 64 rows and columns in 3 slabs split unevenly (21, 21, 22); the threads
+    # switch every microsecond, so that slabs interleave
+    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper})
+    trace = propagate_pumps(cfg)
+    ref_jta, ref_xi, ref_snaps = fftn_stepper(cfg, trace, snapshots=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 2, 3):
+            _force_slabs(monkeypatch, count)
+            res = evolve_jta(cfg, trace, snapshots=5)
+            assert np.array_equal(res.jta.values, ref_jta), count
+            assert np.array_equal(res.xi_profile.xi, ref_xi), count
+            assert len(res.snapshots) == len(ref_snaps) == 5
+            for snap, ref in zip(res.snapshots, ref_snaps):
+                assert np.array_equal(snap.values, ref), (count, snap.z)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_no_thread_outlives_a_run(monkeypatch):
+    _force_slabs(monkeypatch, 2)
+    threads = []  # the live threads at each step
+    real_step_drives = jta.step_drives
+
+    def counted(cfg, trace):
+        for drive in real_step_drives(cfg, trace):
+            threads.append(threading.active_count())
+            yield drive
+
+    monkeypatch.setattr(jta, "step_drives", counted)
+    cfg = _cfg()
+    trace = propagate_pumps(cfg)
+    before = threading.active_count()
+    evolve_jta(cfg, trace)
+    assert set(threads) == {before + 1}  # one helper, for the second slab
+    assert threading.active_count() == before
+
+    trace.mid = trace.mid.copy()
+    trace.mid[0, 41, 7] = np.nan
+    with pytest.raises(PropagationError, match=r"diverged at step 42$"):
+        evolve_jta(cfg, trace)
+    assert threading.active_count() == before
+
+
+def test_pool_workers_take_one_slab():
+    with WorkerPool(2, 2) as workers:
+        assert workers.pool is not None
+        assert list(workers.map(jta._slab_count, [512, 512])) == [1, 1]
+    assert jta._slab_count(512) == simulate.worker_count()
+    assert jta._slab_count(256) == 1
+
+
+def _bounded(fn, timeout: float):
+    """fn()'s result, or TimeoutError after `timeout` seconds.  fn runs on a
+    daemon thread, so that a hang fails this test rather than the session."""
+    done = Future()
+
+    def run():
+        try:
+            done.set_result(fn())
+        except Exception as exc:
+            done.set_exception(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    result = done.result(timeout=timeout)
+    thread.join(timeout=timeout)
+    return result
+
+
+def test_pool_forked_after_a_sliced_run_completes(monkeypatch, fast_cfg):
+    # the pool's workers are forked after a 2-slab run in this process
+    _force_slabs(monkeypatch, 2)
+    evolve_jta(fast_cfg, propagate_pumps(fast_cfg))
+    monkeypatch.setattr(simulate, "worker_count", lambda: 2)
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    study = _bounded(lambda: evaluate_pair(fast_cfg, cfg2), timeout=120)
+    assert 0.0 < study.v_rhom <= 1.0

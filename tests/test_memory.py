@@ -1,6 +1,6 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
-buffers: the CJM1 dump, the metrics and the pump trace hold no full-size
-copy they do not need."""
+buffers: the CJM1 dump, the metrics, the pump trace and the JTA stepper
+hold no full-size copy they do not need."""
 
 import dataclasses
 import tracemalloc
@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taperfwm import io, run_source, table1_config
+from taperfwm import io, jta, run_source, table1_config
 from taperfwm.metrics import compute_metrics
 from taperfwm.pumps import propagate_pumps
 
@@ -63,3 +63,18 @@ def test_pump_trace_keeps_midpoints_and_ends(cfg):
     # no larger array hides behind the kept ones: the call still holds the
     # trace, the grid's two axes and less than one more row of both pumps
     assert held <= expect + 2 * n_t * 8 + 2 * n_t * 16
+
+
+def test_evolve_jta_peak(run, cfg, monkeypatch):
+    # two slabs at any n_t, so that the transforms run on row and column
+    # views of the state; the whole-array stepper peaked at two states plus
+    # 0.41 n * n_z complex values (167 kB)
+    monkeypatch.setattr(jta, "_SLAB_MIN_N", 1)
+    monkeypatch.setattr(jta, "worker_count", lambda: 2)
+    n, n_z = GRID["n_t"], GRID["n_z"]
+    trace = propagate_pumps(cfg)
+    result, peak, _ = _traced(lambda: jta.evolve_jta(cfg, trace))
+    state = n * n * 16
+    # the state, the full-step multiplier and O(n * n_z) more
+    assert peak <= 2 * state + n * n_z * 16
+    assert np.array_equal(result.jta.values, run.result.jta.values)
