@@ -147,6 +147,8 @@ def cmd_pair(args) -> int:
             "tau2": opt.optimal_tau2,
             "shift_s": opt.shift_s,
             "shift_i": opt.shift_i,
+            "source_runs": opt.source_runs,
+            "rejected": sum(1 for c in opt.candidates if c[2] == -np.inf),
         }
         writer.add(io.write_csv(writer.path("candidates.csv"), ["tau1", "tau2", "v"],
                                 opt.candidates))

@@ -35,6 +35,7 @@ class PairStudy:
     optimal_tau1: float | None = None
     optimal_tau2: float | None = None
     candidates: list = field(default_factory=list)  # (tau1, tau2, objective)
+    source_runs: int = 0          # source simulations the optimizer made
 
 
 def _check_same_grid(phi1, phi2):
@@ -76,11 +77,12 @@ def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
 
 
 def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwhm: float,
-                     wrap_tol: float = 1e-6) -> JointAmplitude:
+                     wrap_tol: float = 1e-6, margs=None) -> JointAmplitude:
     """phi(T_s + shift_s/T0, T_i + shift_i/T0) via an exact spectral phase ramp.
 
     Shifts that would push more than a wrap_tol norm fraction across the
-    periodic window boundary are rejected.
+    periodic window boundary are rejected.  margs, the intensity marginals
+    of phi when the caller holds them, spare their reduction.
     """
     if phi.domain != "time":
         raise ValueError("apply_time_shift expects a time-domain amplitude")
@@ -90,7 +92,7 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     if a_s == 0.0 and a_i == 0.0:
         return JointAmplitude(values=phi.values.copy(), domain="time", grid=g,
                               z=phi.z, norm_sq=phi.norm_sq)
-    marg_s, marg_i = marginals(phi)
+    marg_s, marg_i = marginals(phi) if margs is None else margs
     _check_wrap(marg_s, a_s, g.dt, wrap_tol)
     _check_wrap(marg_i, a_i, g.dt, wrap_tol)
     w = omega_axis(g.n, g.dt)
@@ -119,16 +121,21 @@ def _check_wrap(marg, a, dt, wrap_tol):
 
 
 def align_arrival_times(phi1: JointAmplitude, phi2: JointAmplitude, t0_fwhm: float,
-                        wrap_tol: float = 1e-6):
+                        wrap_tol: float = 1e-6, means=None, margs2=None):
     """Shift source 2 so its mean arrival times match source 1.
 
-    Returns (shifted phi2, shift_s, shift_i) with shifts in seconds.
+    Returns (shifted phi2, shift_s, shift_i) with shifts in seconds.  means,
+    the mean arrival times of both sources, and margs2, the intensity
+    marginals of source 2, are the reductions this reads; a caller that
+    pairs one run many times passes them in.
     """
-    (m1s, m1i), _ = arrival_times(phi1, t0_fwhm)
-    (m2s, m2i), _ = arrival_times(phi2, t0_fwhm)
+    if means is None:
+        means = (arrival_times(phi1, t0_fwhm)[0], arrival_times(phi2, t0_fwhm)[0])
+    (m1s, m1i), (m2s, m2i) = means
     shift_s = m2s - m1s
     shift_i = m2i - m1i
-    return apply_time_shift(phi2, shift_s, shift_i, t0_fwhm, wrap_tol=wrap_tol), shift_s, shift_i
+    shifted = apply_time_shift(phi2, shift_s, shift_i, t0_fwhm, wrap_tol=wrap_tol, margs=margs2)
+    return shifted, shift_s, shift_i
 
 
 # m, the wavelength at which the delay line is sized
@@ -151,9 +158,10 @@ def _source_jtas(cfgs) -> list:
     return [out.result.jta for out in (first, *rest)]
 
 
-def _fill(workers: WorkerPool, runs: dict, cfgs):
+def _fill(workers: WorkerPool, runs: dict, cfgs) -> int:
     """Simulate, as one batch, every configuration of cfgs that runs lacks,
-    and store its JTA in runs under that configuration.
+    store its JTA in runs under that configuration, and return how many
+    were simulated.
 
     Runs with one pumps.trace_key form one task, which propagates the pumps
     once.  A batch with fewer such groups than workers runs every source as
@@ -168,6 +176,7 @@ def _fill(workers: WorkerPool, runs: dict, cfgs):
         tasks = [[cfg] for cfg in todo]
     for task, jtas in zip(tasks, workers.map(_source_jtas, tasks)):
         runs.update(zip(task, jtas))
+    return len(todo)
 
 
 # compensating delays in a pair study can be several pulse widths; the
@@ -180,9 +189,11 @@ _PAIR_WRAP_TOL = 1e-4
 _VISIBILITIES = {"rhom": rhom_visibility, "hhom": hhom_visibility}
 
 
-def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom")):
-    """The visibilities named in kinds, after arrival-time alignment."""
-    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, wrap_tol=_PAIR_WRAP_TOL)
+def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom"), means=None, margs2=None):
+    """The visibilities named in kinds, after arrival-time alignment (means
+    and margs2 as in align_arrival_times)."""
+    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, wrap_tol=_PAIR_WRAP_TOL,
+                                               means=means, margs2=margs2)
     vis = {kind: _VISIBILITIES[kind](phi1, phi2_shifted) for kind in kinds}
     return vis, phi2_shifted, ds, di
 
@@ -209,20 +220,100 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig, runs: dict | None = No
     return _study(cfg1, cfg2, runs)
 
 
-# the compass search refines the delays to tau_max / _RESOLUTION
-_RESOLUTION = 200
+# every delay the optimizer visits is a point tau_max * i/_CELLS of one
+# lattice, so that a delay reached twice is the same float and runs once
+_CELLS = 160
+
+
+def _stencil(stored, b):
+    """The three stored lattice indices about b that the local model reads:
+    b and its nearest stored neighbour on each side, or the two nearest on
+    one side where b is at an end or the other side's gap is over three
+    times as wide, which would bend the fit out of shape."""
+    s = sorted(stored)
+    k = s.index(b)
+    if k == 0:
+        return s[:3]
+    if k == len(s) - 1:
+        return s[-3:]
+    below, above = b - s[k - 1], s[k + 1] - b
+    if below > 3 * above and k + 2 < len(s):
+        return s[k:k + 3]
+    if above > 3 * below and k >= 2:
+        return s[k - 2:k + 1]
+    return s[k - 1:k + 2]
+
+
+def _model_peak(scores, stencils, best, n):
+    """The lattice point nearest the peak of the quadratic least-squares fit
+    of the scores over stencils[0] x stencils[1], or None where the fit
+    has no peak or a stencil point was rejected."""
+    x, y = np.meshgrid(np.subtract(stencils[0], best[0]), np.subtract(stencils[1], best[1]),
+                       indexing="ij")
+    v = np.array([[scores[i, j] for j in stencils[1]] for i in stencils[0]])
+    if not np.all(np.isfinite(v)):
+        return None
+    x, y = x.ravel().astype(float), y.ravel().astype(float)
+    basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
+    c = np.linalg.lstsq(basis, v.ravel(), rcond=None)[0]
+    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+    if not (hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0):
+        return None
+    step = np.linalg.solve(hess, -c[1:3])
+    return tuple(round(min(max(b + float(d), 0.0), float(n))) for b, d in zip(best, step))
+
+
+def _halves(stored, b):
+    """The midpoints of the gaps between b and its stored neighbours."""
+    below = max((i for i in stored if i < b), default=b)
+    above = min((i for i in stored if i > b), default=b)
+    return {b - (b - below) // 2, b + (above - b) // 2} - {b}
+
+
+def _next_runs(scores, stored, best, n):
+    """The lattice indices to simulate next, one set per source: none once
+    both unit neighbours of best are stored on each axis (then all four
+    are scored and none beats best), else points from the local model.
+
+    A model fitted on stencils at most 2 cells wide on both axes is trusted
+    to a cell: its peak t and t +- 1 are asked for, and the unit neighbours
+    of best too when t is within a cell of it.  A wider fit is only a
+    direction: its peak and the point halfway to it.  Without a model, the
+    gaps next to best are halved."""
+    near = [{i for i in (b - 1, b + 1) if 0 <= i <= n} for b in best]
+    if all(nb <= s for nb, s in zip(near, stored)):
+        return [set(), set()]
+    stencils = [_stencil(s, b) for s, b in zip(stored, best)]
+    peak = _model_peak(scores, stencils, best, n)
+    fine = all(max(abs(i - b) for i in st) <= 2 for st, b in zip(stencils, best))
+    out = []
+    for s, b, nb, t in zip(stored, best, near, peak or (None, None)):
+        if t is None:
+            want = _halves(s, b)
+        elif fine:
+            want = {t - 1, t, t + 1} | (nb if abs(t - b) <= 1 else set())
+        else:
+            want = {t, (b + t) // 2}
+        want = {i for i in want if 0 <= i <= n} - s
+        out.append(want or nb - s or _halves(s, b))
+    return out
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
-                    coarse_points: int = 11, runs: dict | None = None) -> PairStudy:
-    """Search (tau1, tau2) maximizing the chosen visibility.
+                    coarse_points: int = 6, runs: dict | None = None) -> PairStudy:
+    """Search (tau1, tau2) maximizing the chosen visibility over the lattice
+    tau = tau_max * i/160.
 
-    Coarse grid over [0, tau_max]^2, then compass pattern search refined to
-    tau_max/200; ties break toward the symmetric midpoint delay.  Every
-    delay is a point tau_max * i/n of one lattice, so that a point reached
-    twice is the same float and is simulated once.  runs, as in
-    evaluate_pair, holds the runs made earlier and receives the new ones;
-    equal configurations share their runs.
+    The search starts from coarse_points evenly spaced delays and tau_max/2
+    on each source.  After every batch of runs it scores every pair (tau1
+    of source 1, tau2 of source 2) of the runs it has asked for, and picks
+    the next batch from a local quadratic model about the best pair (see
+    _next_runs).  It stops when the best pair's four unit-cell neighbours
+    are scored and none beats it.  Ties break toward the symmetric
+    midpoint delay.  runs, as in evaluate_pair, holds the runs made earlier
+    and receives the new ones; equal configurations share their runs.  The
+    batches depend on the scores alone, so a pooled search makes the same
+    runs and candidates as a serial one.
     """
     if objective not in ("rhom", "hhom"):
         raise ValueError("objective must be 'rhom' or 'hhom'")
@@ -231,78 +322,50 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     runs = {} if runs is None else runs
     t0 = cfg1.pump.t0_fwhm
     tau_max = derive_run_params(cfg1).tau_max
-    # the first compass step, s0 cells, is half the coarse spacing; it
-    # halves down to one cell, the smallest step not below the resolution.
-    # n is even, and the lattice point n/2 is exactly tau_max/2
-    s0 = 1
-    while 4 * (coarse_points - 1) * s0 <= _RESOLUTION:
-        s0 *= 2
-    n = 2 * (coarse_points - 1) * s0
+    n = _CELLS
     mid = n // 2
+    cfgs = (cfg1, cfg2)
+
+    def at(k, i):
+        return cfgs[k].replace(pump={"tau": tau_max * (i / n)})
+
+    # per source, lattice index -> (JTA, mean arrival times, marginals of a
+    # source-2 run): each run is reduced once, when the search takes it
+    taken = ({}, {})
+    scores = {}
     candidates = []
-    obj_cache = {}
-
-    def tau(i):
-        return tau_max * (i / n)
-
-    def at(cfg, i):
-        return cfg.replace(pump={"tau": tau(i)})
-
-    def measure(i, j):
-        if (i, j) not in obj_cache:
-            phi1, phi2 = runs[at(cfg1, i)], runs[at(cfg2, j)]
-            try:
-                v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,))[0][objective]
-            except ValueError:
-                # alignment shift would wrap around the window: the
-                # candidate is outside the usable delay range
-                v = -np.inf
-            obj_cache[i, j] = v
-            candidates.append((tau(i), tau(j), v))
-        return obj_cache[i, j]
-
-    def better(a, va, b, vb):
-        """True when (a, va) beats (b, vb); ties prefer the midpoint."""
-        if va > vb + 1e-12:
-            return True
-        if va < vb - 1e-12:
-            return False
-        return (a[0] - mid) ** 2 + (a[1] - mid) ** 2 < (b[0] - mid) ** 2 + (b[1] - mid) ** 2
-
-    def clip(i):
-        return min(max(i, 0), n)
-
-    # every source run goes to the workers in batches: the start point and
-    # the coarse grid of both sources, then each compass round's neighbours.
-    # A round's candidates need source 1 only at b1 +- step and source 2
-    # only at b2 +- step, with (b1, b2) the best point at the round's start
-    coarse = range(0, n + 1, 2 * s0)
-    best = (mid, mid)
-    batch = [at(cfg1, mid), at(cfg2, mid)] + [at(cfg, i) for cfg in (cfg1, cfg2) for i in coarse]
-    with WorkerPool(len(batch)) as workers:
-        _fill(workers, runs, batch)
-        best_v = measure(*best)
-        for i in coarse:
-            for j in coarse:
-                v = measure(i, j)
-                if better((i, j), v, best, best_v):
-                    best, best_v = (i, j), v
-
-        step = s0
-        while _RESOLUTION * step >= n:
-            _fill(workers, runs, [at(cfg, clip(b + d)) for cfg, b in zip((cfg1, cfg2), best)
-                                  for d in (step, -step)])
-            moved = False
-            for di, dj in ((step, 0), (-step, 0), (0, step), (0, -step)):
-                cand = (clip(best[0] + di), clip(best[1] + dj))
-                if cand == best:
+    source_runs = 0
+    start = {k * n // (coarse_points - 1) for k in range(coarse_points)} | {mid}
+    new = [start, start]
+    with WorkerPool(2 * len(start)) as workers:
+        while any(new):
+            source_runs += _fill(workers, runs, [at(k, i) for k in (0, 1) for i in sorted(new[k])])
+            for k in (0, 1):
+                for i in sorted(new[k]):
+                    phi = runs[at(k, i)]
+                    taken[k][i] = (phi, arrival_times(phi, t0)[0], marginals(phi) if k else None)
+            for i, j in sorted((i, j) for i in taken[0] for j in taken[1]):
+                if (i, j) in scores:
                     continue
-                v = measure(*cand)
-                if better(cand, v, best, best_v):
-                    best, best_v = cand, v
-                    moved = True
-            if not moved:
-                step //= 2
+                (phi1, m1, _), (phi2, m2, margs2) = taken[0][i], taken[1][j]
+                try:
+                    v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,), means=(m1, m2),
+                                           margs2=margs2)[0][objective]
+                except ValueError:
+                    # alignment shift would wrap around the window: the
+                    # candidate is outside the usable delay range
+                    v = -np.inf
+                scores[i, j] = v
+                candidates.append((tau_max * (i / n), tau_max * (j / n), v))
+            # the best score, ties within 1e-12 going to the pair nearest
+            # the midpoint
+            top = max(scores.values())
+            best = min((c for c, v in scores.items() if v >= top - 1e-12),
+                       key=lambda c: ((c[0] - mid) ** 2 + (c[1] - mid) ** 2, c))
+            new = _next_runs(scores, [set(taken[0]), set(taken[1])], best, n)
 
-    return _study(at(cfg1, best[0]), at(cfg2, best[1]), runs, optimal_tau1=tau(best[0]),
-                  optimal_tau2=tau(best[1]), candidates=candidates)
+    # the reductions are those _study makes again, so its objective is the
+    # winning candidate's own float
+    return _study(at(0, best[0]), at(1, best[1]), runs, optimal_tau1=tau_max * (best[0] / n),
+                  optimal_tau2=tau_max * (best[1] / n), candidates=candidates,
+                  source_runs=source_runs)

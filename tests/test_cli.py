@@ -240,9 +240,36 @@ def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkey
     monkeypatch.setattr(interference, "run_source", counted)
     assert main(["pair", "-c1", str(cfg_path), "-c2", str(cfg_path), "-o", str(tmp_path / "pair"),
                  "--optimize"]) == 0
-    # the raw pair and the optimizer visit 19 delays; a cache per source
-    # ran each of them twice
-    assert len(taus) == len(set(taus)) == 19
+    # the raw pair and the optimizer visit 15 delays: the 7 start delays,
+    # then 8 that halve the gaps about tau_max/2; a cache per source ran
+    # each of them twice
+    assert len(taus) == len(set(taus)) == 15
+
+
+def test_pair_optimize_reports_runs_and_rejects(cfg_path, tmp_path, monkeypatch):
+    from taperfwm import interference, simulate
+
+    calls = []
+    real_run_source = interference.run_source
+
+    def counted(cfg, **kw):
+        calls.append(cfg)
+        return real_run_source(cfg, **kw)
+
+    monkeypatch.setattr(simulate, "worker_count", lambda: 1)
+    monkeypatch.setattr(interference, "run_source", counted)
+    # a wide width mismatch, so that some delay pairs need a shift that
+    # wraps around the window
+    cfg2 = table1_config(numerics=FAST, geometry={"width_offset": 60e-9})
+    p2 = tmp_path / "cfg2.json"
+    p2.write_text(json.dumps(config_to_dict(cfg2)))
+    out = tmp_path / "pair"
+    assert main(["pair", "-c1", str(cfg_path), "-c2", str(p2), "-o", str(out), "--optimize"]) == 0
+    opt = json.loads((out / "pair.json").read_text())["optimized"]
+    cands = _read_csv(out / "candidates.csv")
+    assert opt["rejected"] == sum(1 for r in cands if float(r["v"]) == -np.inf) > 0
+    # the raw pair's two runs come first, and the optimizer reuses them
+    assert opt["source_runs"] == len(calls) - 2
 
 
 def _leaky_pumps(monkeypatch):

@@ -255,8 +255,8 @@ def _optimize(monkeypatch, pool, cfg1, cfg2, **kw):
     return optimize_delays(cfg1, cfg2, runs=runs, **kw), runs
 
 
-# criterion 8's pair on the fast grid: its compass search moves, so some
-# rounds measure neighbours that no batch could know in advance
+# criterion 8's pair on the fast grid: its optimum lies away from
+# tau_max/2, so the search refines it over several batches
 MOVING_PAIR = table1_config(numerics=FAST, geometry={"taper_amplitude": 0.1e-6})
 
 
@@ -290,33 +290,28 @@ def _taus(runs, cfg):
     return {c.pump.tau for c in runs if c == cfg.replace(pump={"tau": c.pump.tau})}
 
 
-# coarse_points=5: delays tau_max * i/128, coarse grid every 32 cells,
-# compass steps of 16, 8, 4, 2 and 1 cells
-LATTICE_CELLS = 128
+# every delay is a point tau_max * i/160 of one lattice, whatever coarse_points
+LATTICE_CELLS = 160
 
 
 @pytest.mark.parametrize("pool", [False, True])
 def test_runs_are_lattice_points_near_candidates(monkeypatch, pool):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    calls = _record_fills(monkeypatch)
     study, runs = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2, coarse_points=5)
     taus1, taus2 = _taus(runs, MOVING_PAIR), _taus(runs, cfg2)
     assert len(taus1) + len(taus2) == len(runs)
     lattice = {tau_max_of(MOVING_PAIR) * (i / LATTICE_CELLS) for i in range(LATTICE_CELLS + 1)}
     assert taus1 | taus2 <= lattice
-    # a compass round batches the four neighbour runs of its start point;
-    # a move within the round skips the neighbour opposite to it, which may
-    # stay outside the candidates: on this path, fewer runs than rounds
-    rounds = sum(1 for requests in calls if len(requests) == 4)
-    outside1 = taus1 - {c[0] for c in study.candidates}
-    outside2 = taus2 - {c[1] for c in study.candidates}
-    assert rounds > 0
-    assert len(outside1) + len(outside2) <= rounds
+    # every run the search takes is paired with every run of the other
+    # source: the candidates are the whole product of the two run sets
+    assert sorted((c[0], c[1]) for c in study.candidates) == sorted(
+        (t1, t2) for t1 in taus1 for t2 in taus2)
+    assert study.source_runs == len(runs)
 
 
 def test_no_source_tau_is_simulated_twice(monkeypatch):
     # the raw pair's runs at tau_max/2 are reused, and a lattice point that
-    # two compass paths reach is the same float, so it hits the cache; the
+    # two batches reach is the same float, so it hits the cache; the
     # runs are compared at 1e-9 of tau_max, so that delays one ulp apart
     # count as one
     _serial(monkeypatch)
@@ -364,10 +359,12 @@ def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
 
     monkeypatch.setattr(simulate, "propagate_pumps", counted)
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5)
-    coarse_taus = {cfg.pump.tau for cfg in calls[0]}
-    assert len(coarse_taus) == 5
-    assert pumps_at_fill.count(1) == len(coarse_taus)
+    optimize_delays(MOVING_PAIR, cfg2)
+    # the search starts at 6 evenly spaced delays and tau_max/2, and both
+    # sources at one start delay share one pump trace
+    start_taus = {cfg.pump.tau for cfg in calls[0]}
+    assert len(start_taus) == 7
+    assert pumps_at_fill.count(1) == len(start_taus)
 
 
 def test_pool_workers_are_joined(monkeypatch, fast_cfg):
@@ -422,3 +419,57 @@ def test_blas_free_objective_matches_numpy(fast_run, case):
         # two random amplitudes are nearly orthogonal, and the overlap sum
         # cancels: compare the overlap magnitude against its bound |a||b| = 1
         assert abs(np.sqrt(v) - np.sqrt(ref)) <= 1e-14
+
+
+def _lattice_index(tau, cfg):
+    return round(tau / tau_max_of(cfg) * LATTICE_CELLS)
+
+
+def test_optimum_is_a_lattice_local_maximum(monkeypatch):
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    study, _ = _optimize(monkeypatch, False, MOVING_PAIR, cfg2)
+    scores = {(_lattice_index(t1, MOVING_PAIR), _lattice_index(t2, MOVING_PAIR)): v
+              for t1, t2, v in study.candidates}
+    assert len(scores) == len(study.candidates)
+    best = (_lattice_index(study.optimal_tau1, MOVING_PAIR),
+            _lattice_index(study.optimal_tau2, MOVING_PAIR))
+    # the report takes the winning candidate's own float
+    assert study.v_rhom == scores[best] == max(scores.values())
+    neighbours = [(best[0] + d, best[1]) for d in (-1, 1)] + [(best[0], best[1] + d) for d in (-1, 1)]
+    for cell in neighbours:
+        if 0 <= min(cell) and max(cell) <= LATTICE_CELLS:
+            assert scores[cell] <= scores[best]
+
+
+def test_unrelated_run_in_the_store_changes_nothing(monkeypatch):
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    plain, plain_runs = _optimize(monkeypatch, False, MOVING_PAIR, cfg2)
+    visited = {_lattice_index(cfg.pump.tau, MOVING_PAIR) for cfg in plain_runs}
+    extra = cfg2.replace(pump={"tau": tau_max_of(cfg2) * (next(
+        i for i in range(LATTICE_CELLS + 1) if i not in visited) / LATTICE_CELLS)})
+    runs = {extra: run_source(extra).result.jta}
+    study = optimize_delays(MOVING_PAIR, cfg2, runs=runs)
+    assert study.candidates == plain.candidates
+    assert (study.optimal_tau1, study.optimal_tau2) == (plain.optimal_tau1, plain.optimal_tau2)
+    assert (study.v_rhom, study.v_hhom) == (plain.v_rhom, plain.v_hhom)
+    assert extra.pump.tau not in {c[1] for c in study.candidates}
+    assert runs.keys() == plain_runs.keys() | {extra}
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_batches_do_not_depend_on_the_worker_count(monkeypatch, jobs):
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    _serial(monkeypatch)
+    serial_calls = _record_fills(monkeypatch)
+    serial = optimize_delays(MOVING_PAIR, cfg2)
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "worker_count", lambda: jobs)
+    pooled_calls = _record_fills(monkeypatch)
+    runs = {}
+    pooled = optimize_delays(MOVING_PAIR, cfg2, runs=runs)
+    assert pooled_calls == serial_calls
+    assert pooled.candidates == serial.candidates
+    assert (pooled.optimal_tau1, pooled.optimal_tau2) == (serial.optimal_tau1, serial.optimal_tau2)
+    assert (pooled.v_rhom, pooled.v_hhom) == (serial.v_rhom, serial.v_hhom)
+    for cfg, jta in runs.items():
+        assert np.array_equal(jta.values, run_source(cfg).result.jta.values)
