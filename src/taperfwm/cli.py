@@ -126,9 +126,10 @@ def cmd_sweep(args) -> int:
 def cmd_pair(args) -> int:
     cfg1 = load_config(args.config1)
     cfg2 = load_config(args.config2)
-    grids = [(c.numerics.n_t, c.numerics.t_window) for c in (cfg1, cfg2)]
+    # the window is in units of t0, so the grid is one grid only at one t0
+    grids = [(c.numerics.n_t, c.numerics.t_window, c.pump.t0_fwhm) for c in (cfg1, cfg2)]
     if grids[0] != grids[1]:
-        raise ConfigError("the two sources must share one time grid: (n_t, t_window) "
+        raise ConfigError("the two sources must share one time grid: (n_t, t_window, t0_fwhm) "
                           f"{grids[0]} against {grids[1]}")
     writer = io.ArtifactWriter("pair", args.output, [cfg1, cfg2])
     runs = {}  # the raw pair's runs, reused by the optimizer

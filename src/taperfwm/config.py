@@ -404,15 +404,17 @@ _FIELD_KINDS = {
 
 def config_from_dict(doc: dict) -> SourceConfig:
     """Build a SourceConfig from a JSON-style dict; unknown keys and values
-    of the wrong kind are fatal."""
+    of the wrong kind are fatal, and so is a top level that is not an
+    object or a key that is present but null."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must be a JSON object, got {json.dumps(doc)[:40]}")
     doc = dict(doc)
-    defaults = doc.pop("defaults", None)
-    if defaults is None:
-        base = SourceConfig()
-    elif defaults == "table1":
+    base = SourceConfig()
+    if "defaults" in doc:
+        defaults = doc.pop("defaults")
+        if defaults != "table1":
+            raise ConfigError(f"unknown defaults preset {defaults!r}")
         base = table1_config()
-    else:
-        raise ConfigError(f"unknown defaults preset {defaults!r}")
 
     extra = set(doc) - set(_SECTION_TYPES)
     if extra:
@@ -420,9 +422,9 @@ def config_from_dict(doc: dict) -> SourceConfig:
 
     sections = {}
     for name, typ in _SECTION_TYPES.items():
-        sub = doc.get(name)
-        if sub is None:
+        if name not in doc:
             continue
+        sub = doc[name]
         if not isinstance(sub, dict):
             raise ConfigError(f"section {name!r} must be an object")
         kinds = {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(typ)}

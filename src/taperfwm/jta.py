@@ -57,28 +57,23 @@ class JointAmplitude:
         return sum_abs2(self.values) * self.cell_measure()
 
 
-def _sorted_axis_factors(g: Grid):
-    """The two per-axis factors of the unitary transform on the sorted axis
-    g.w_axis: the sign (-1)^k on the time samples, which for even n turns
-    the ifft of a row into its fftshifted ifft, and the phase and scale of
-    the grid's time origin at each sorted frequency."""
-    if g.n % 2:
-        raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
-    sign = np.resize([1.0, -1.0], g.n)
-    factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * g.w_axis * g.t_axis[0])
-    return sign, factor
-
-
 def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
     """Unitary two-dimensional transform to the dual frequency grid.
 
     The result is aligned with the sorted grid.w_axis on both axes and
-    preserves the physical norm exactly.  The transform fills one new
+    preserves the physical norm exactly.  Each axis takes two factors: the
+    sign (-1)^k on the time samples, which for even n turns the ifft of a
+    row into its fftshifted ifft, and the phase and scale of the grid's
+    time origin at each sorted frequency.  The transform fills one new
     buffer and works on it in place.
     """
     if phi.domain != "time":
         raise ValueError("jta_to_jsa expects a time-domain amplitude")
-    sign, factor = _sorted_axis_factors(phi.grid)
+    g = phi.grid
+    if g.n % 2:
+        raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
+    sign = np.resize([1.0, -1.0], g.n)
+    factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * g.w_axis * g.t_axis[0])
     spec = np.multiply(phi.values, sign[:, None], dtype=complex)
     spec *= sign[None, :]
     np.fft.ifftn(spec, axes=(0, 1), out=spec)
@@ -86,19 +81,6 @@ def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
     spec *= factor[None, :]
     return JointAmplitude(values=spec, domain="frequency", grid=phi.grid, z=phi.z,
                           norm_sq=phi.norm_sq)
-
-
-def jsa_to_jta(phi: JointAmplitude) -> JointAmplitude:
-    """The inverse of jta_to_jsa, on one new buffer."""
-    if phi.domain != "frequency":
-        raise ValueError("jsa_to_jta expects a frequency-domain amplitude")
-    sign, factor = _sorted_axis_factors(phi.grid)
-    vals = phi.values / factor[:, None]
-    vals /= factor[None, :]
-    np.fft.fftn(vals, axes=(0, 1), out=vals)
-    vals *= sign[:, None]
-    vals *= sign[None, :]
-    return JointAmplitude(values=vals, domain="time", grid=phi.grid, z=phi.z, norm_sq=phi.norm_sq)
 
 
 @dataclass

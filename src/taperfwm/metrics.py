@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import C_LIGHT, DispersionSet, SourceConfig
-from .jta import JointAmplitude, SimulationResult, jsa_to_jta, jta_to_jsa, sum_abs2
+from .jta import JointAmplitude, SimulationResult, jta_to_jsa, sum_abs2
 
 
 @dataclass
@@ -27,10 +27,9 @@ class MetricsReport:
         return asdict(self)
 
 
-def in_domain(phi: JointAmplitude, domain: str) -> JointAmplitude:
-    if phi.domain == domain:
-        return phi
-    return jta_to_jsa(phi) if domain == "frequency" else jsa_to_jta(phi)
+def in_frequency(phi: JointAmplitude) -> JointAmplitude:
+    """The amplitude as a JSA: itself, or the transform of a JTA."""
+    return phi if phi.domain == "frequency" else jta_to_jsa(phi)
 
 
 _GRAM_BLOCKS = 8
@@ -60,7 +59,7 @@ def marginals(phi: JointAmplitude):
 
 def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     """Mean wavelength shift of each photon about its reference wavelength."""
-    jsa = in_domain(phi, "frequency")
+    jsa = in_frequency(phi)
     ms, mi = marginals(jsa)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
@@ -77,12 +76,13 @@ def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
 def arrival_times(phi: JointAmplitude, t0_fwhm: float):
     """First and second moments of the temporal marginals, in seconds in the
     common pump-1 moving frame."""
-    jta = in_domain(phi, "time")
-    ms, mi = marginals(jta)
+    if phi.domain != "time":
+        raise ValueError("arrival_times expects a time-domain amplitude")
+    ms, mi = marginals(phi)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("arrival times undefined for a zero amplitude")
-    t = jta.grid.t_axis
+    t = phi.grid.t_axis
     mean_s = float(np.dot(t, ms) / tot_s)
     mean_i = float(np.dot(t, mi) / tot_i)
     var_s = float(np.dot((t - mean_s) ** 2, ms) / tot_s)
@@ -92,30 +92,15 @@ def arrival_times(phi: JointAmplitude, t0_fwhm: float):
     return means, stds
 
 
-def analytic_arrival_times(cfg: SourceConfig):
-    """Collision-point prediction of the arrival times relative to pump 1."""
-    d = cfg.dispersion
-    t0 = cfg.pump.t0_fwhm
-    L = cfg.geometry.length
-    tau = cfg.pump.tau
-    t_s = (d.l_w_p * tau - t0 * L) / abs(d.l_w_s)
-    t_i = -(d.l_w_p * tau - t0 * L) / abs(d.l_w_i)
-    return t_s, t_i
-
-
-def ec_deviation(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float) -> float:
-    """Deviation of the mean Idler wavelength from energy conservation,
-    using the measured mean Signal shift and a fixed pump wavelength."""
-    return _ec_deviation(*mean_shift(phi, disp, t0_fwhm), disp)
-
-
 def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
+    """Deviation of the mean Idler wavelength shift from energy conservation,
+    given the mean Signal shift and a fixed pump wavelength."""
     dlam_i_ec = -((disp.lam_i / disp.lam_s) ** 2) * dlam_s
     return dlam_i - dlam_i_ec
 
 
 def _idler_spectrum(phi: JointAmplitude):
-    jsa = in_domain(phi, "frequency")
+    jsa = in_frequency(phi)
     return phi.z, phi.grid, marginals(jsa)[1] * jsa.grid.dw
 
 

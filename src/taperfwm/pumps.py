@@ -132,18 +132,3 @@ def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
     z_nodes = np.linspace(0.0, L, n_z + 1)
     return PumpTrace(grid=grid, h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
                      mid=mids, ends=ends)
-
-
-def analytic_pumps(cfg: SourceConfig, z, t):
-    """Closed-form moving gaussians in lab coordinates (z in m, t in s),
-    ignoring loss, dispersion and nonlinearity."""
-    d = cfg.dispersion
-    rp = derive_run_params(cfg)
-    t0 = cfg.pump.t0_fwhm
-    sigma1 = d.v_p1 * t0 / (2.0 * np.sqrt(np.log(2.0)))
-    sigma2 = d.v_p2 * t0 / (2.0 * np.sqrt(np.log(2.0)))
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a1 = np.sqrt(rp.p_peak_1) * np.exp(-((z - d.v_p1 * (t - cfg.pump.tau)) ** 2) / (2.0 * sigma1**2))
-    a2 = np.sqrt(rp.p_peak_2) * np.exp(-((z - d.v_p2 * t) ** 2) / (2.0 * sigma2**2))
-    return a1, a2

@@ -1,6 +1,7 @@
 """Naive per-field reference steppers for the pump SSFM and the JTA, the
-JTA stepper on whole-array transforms, and the source term by direct
-spectral convolution.
+JTA stepper on whole-array transforms, the source term by direct spectral
+convolution, the JTA<->JSA transform pair by the textbook route, and the
+closed-form moving pumps and collision-point arrival times.
 
 The two per-field steppers split the net mismatch phase among the four
 fields with weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
@@ -110,6 +111,41 @@ def reference_jsa(values, grid):
     w = omega_axis(grid.n, grid.dt)
     factor = grid.n * grid.dt / np.sqrt(2.0 * np.pi) * np.exp(1j * w * grid.t_axis[0])
     return np.fft.fftshift(np.fft.ifft2(values) * factor[:, None] * factor[None, :])
+
+
+def reference_jta_of_jsa(values, grid):
+    """The inverse of reference_jsa: the JSA values on the sorted
+    grid.w_axis back to the time values, by np.fft.ifftshift, the division
+    by the same factors and the fft2."""
+    w = omega_axis(grid.n, grid.dt)
+    factor = grid.n * grid.dt / np.sqrt(2.0 * np.pi) * np.exp(1j * w * grid.t_axis[0])
+    return np.fft.fft2(np.fft.ifftshift(values) / factor[:, None] / factor[None, :])
+
+
+def analytic_pumps(cfg, z, t):
+    """Closed-form moving gaussians in lab coordinates (z in m, t in s),
+    ignoring loss, dispersion and nonlinearity."""
+    d = cfg.dispersion
+    rp = derive_run_params(cfg)
+    t0 = cfg.pump.t0_fwhm
+    sigma1 = d.v_p1 * t0 / (2.0 * np.sqrt(np.log(2.0)))
+    sigma2 = d.v_p2 * t0 / (2.0 * np.sqrt(np.log(2.0)))
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a1 = np.sqrt(rp.p_peak_1) * np.exp(-((z - d.v_p1 * (t - cfg.pump.tau)) ** 2) / (2.0 * sigma1**2))
+    a2 = np.sqrt(rp.p_peak_2) * np.exp(-((z - d.v_p2 * t) ** 2) / (2.0 * sigma2**2))
+    return a1, a2
+
+
+def analytic_arrival_times(cfg):
+    """Collision-point prediction of the arrival times relative to pump 1."""
+    d = cfg.dispersion
+    t0 = cfg.pump.t0_fwhm
+    L = cfg.geometry.length
+    tau = cfg.pump.tau
+    t_s = (d.l_w_p * tau - t0 * L) / abs(d.l_w_s)
+    t_i = -(d.l_w_p * tau - t0 * L) / abs(d.l_w_i)
+    return t_s, t_i
 
 
 def global_phase(cfg, weights):

@@ -348,12 +348,13 @@ def test_invalid_tau_exits_2(tmp_path):
     assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "o")]) == 2
 
 
-def _fast_doc(**numerics):
-    return config_to_dict(table1_config(numerics={**FAST, **numerics}))
+def _fast_doc(pump=None, **numerics):
+    return config_to_dict(table1_config(numerics={**FAST, **numerics}, pump=pump or {}))
 
 
-# a config value of the wrong kind, and a command-line value that no run
-# can take: each is refused with exit 2 before any output or simulation
+# a config that is not an object of sections, a config value of the wrong
+# kind, and a command-line value that no run can take: each is refused with
+# exit 2 before any output or simulation
 BAD_INPUTS = {
     "n_t-zero": ("simulate", {"numerics": {"n_t": 0}}, []),
     "n_t-float": ("simulate", {"numerics": {"n_t": 64.5}}, []),
@@ -369,6 +370,13 @@ BAD_INPUTS = {
     "steps-negative": ("sweep", _fast_doc(), ["--steps", "-1"]),
     "jobs-negative": ("sweep", _fast_doc(), ["--steps", "2", "--jobs", "-1"]),
     "pair-grids": ("pair", _fast_doc(), [_fast_doc(n_t=128)]),
+    "pair-t0": ("pair", _fast_doc(), [_fast_doc(pump={"t0_fwhm": 1.2e-12})]),
+    "top-level-number": ("simulate", 5, []),
+    "top-level-list": ("simulate", [1], []),
+    "top-level-null": ("simulate", None, []),
+    "top-level-string": ("simulate", "x", []),
+    "section-null": ("simulate", {"pump": None}, []),
+    "defaults-null": ("simulate", {"defaults": None, "numerics": FAST}, []),
 }
 
 

@@ -6,20 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from taperfwm import (
-    Grid,
-    SourceConfig,
-    derive_run_params,
-    load_config,
-    table1_config,
-    validate_config,
-)
 from taperfwm.config import (
     ConfigError,
     ConfigWarning,
+    Grid,
     NumericsSpec,
     dbcm_to_per_m,
+    derive_run_params,
+    load_config,
+    table1_config,
     tau_max_of,
+    validate_config,
 )
 from taperfwm.mismatch import calibrate_mismatch, mismatch_phase
 

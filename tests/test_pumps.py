@@ -6,10 +6,10 @@ import pytest
 from taperfwm import pumps, table1_config
 from taperfwm.config import derive_run_params, tau_max_of
 from taperfwm.mismatch import mismatch_phase
-from taperfwm.pumps import PropagationError, analytic_pumps, initial_envelopes, propagate_pumps
+from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.spectral import omega_axis
 
-from _reference import reference_pumps
+from _reference import analytic_pumps, reference_pumps
 
 FAST = {"n_t": 256, "n_z": 200}
 TRACE_ARRAYS = ("mid", "ends")
