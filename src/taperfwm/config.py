@@ -191,8 +191,6 @@ class RunParams:
 
     p_peak_1: float          # W, peak power of pump 1 (TM0)
     p_peak_2: float          # W, peak power of pump 2 (TM1)
-    t_eff: float             # s, effective duration for energy accounting
-    tau_max: float           # s, delay for a full pulse walk-through
     l_match: float           # m, pump collision point for cfg.pump.tau
     alpha_m: dict            # field -> power loss in 1/m
     drift: dict              # field -> signed drift rate dT/dz from pump 1's frame, 1/m
@@ -233,8 +231,6 @@ def derive_run_params(cfg: SourceConfig) -> RunParams:
     return RunParams(
         p_peak_1=p_peak_1,
         p_peak_2=p_peak_2,
-        t_eff=t_eff,
-        tau_max=tmax,
         l_match=l_match,
         alpha_m=alpha_m,
         drift={"p1": 0.0, "p2": 1.0 / d.l_w_p,

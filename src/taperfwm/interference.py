@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import C_LIGHT, SourceConfig, derive_run_params
+from .config import C_LIGHT, ConfigError, SourceConfig, tau_max_of
 from .jta import JointAmplitude
 from .metrics import arrival_times, marginals
 from .spectral import omega_axis
@@ -24,10 +24,6 @@ class DelayLineSpec:
 
 @dataclass
 class PairStudy:
-    cfg1: SourceConfig
-    cfg2: SourceConfig
-    phi1: JointAmplitude
-    phi2: JointAmplitude          # after the compensating time shift
     shift_s: float                # s, applied to source 2
     shift_i: float
     v_rhom: float
@@ -158,10 +154,9 @@ def _source_jtas(cfgs) -> list:
     return [out.result.jta for out in (first, *rest)]
 
 
-def _fill(workers: WorkerPool, runs: dict, cfgs) -> int:
+def _fill(workers: WorkerPool, runs: dict, cfgs):
     """Simulate, as one batch, every configuration of cfgs that runs lacks,
-    store its JTA in runs under that configuration, and return how many
-    were simulated.
+    and store its JTA in runs under that configuration.
 
     Runs with one pumps.trace_key form one task, which propagates the pumps
     once.  A batch with fewer such groups than workers runs every source as
@@ -176,7 +171,6 @@ def _fill(workers: WorkerPool, runs: dict, cfgs) -> int:
         tasks = [[cfg] for cfg in todo]
     for task, jtas in zip(tasks, workers.map(_source_jtas, tasks)):
         runs.update(zip(task, jtas))
-    return len(todo)
 
 
 # compensating delays in a pair study can be several pulse widths; the
@@ -195,16 +189,23 @@ def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom"), means=None, 
     phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, wrap_tol=_PAIR_WRAP_TOL,
                                                means=means, margs2=margs2)
     vis = {kind: _VISIBILITIES[kind](phi1, phi2_shifted) for kind in kinds}
-    return vis, phi2_shifted, ds, di
+    return vis, ds, di
+
+
+def _check_pair(cfg1, cfg2):
+    """Refuse, before any run, two sources that do not share one time grid:
+    the window is in units of t0, so the grid is one grid only at one t0."""
+    grids = [(c.numerics.n_t, c.numerics.t_window, c.pump.t0_fwhm) for c in (cfg1, cfg2)]
+    if grids[0] != grids[1]:
+        raise ConfigError("the two sources must share one time grid: (n_t, t_window, t0_fwhm) "
+                          f"{grids[0]} against {grids[1]}")
 
 
 def _study(cfg1, cfg2, runs, **optimum) -> PairStudy:
     """Both visibilities of two simulated configurations, source 2 shifted
     to the arrival times of source 1."""
-    phi1, phi2 = runs[cfg1], runs[cfg2]
-    vis, phi2s, ds, di = _pair_visibilities(phi1, phi2, cfg1.pump.t0_fwhm)
-    return PairStudy(cfg1=cfg1, cfg2=cfg2, phi1=phi1, phi2=phi2s, shift_s=ds, shift_i=di,
-                     v_rhom=vis["rhom"], v_hhom=vis["hhom"], **optimum)
+    vis, ds, di = _pair_visibilities(runs[cfg1], runs[cfg2], cfg1.pump.t0_fwhm)
+    return PairStudy(shift_s=ds, shift_i=di, v_rhom=vis["rhom"], v_hhom=vis["hhom"], **optimum)
 
 
 def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig, runs: dict | None = None) -> PairStudy:
@@ -213,16 +214,21 @@ def evaluate_pair(cfg1: SourceConfig, cfg2: SourceConfig, runs: dict | None = No
 
     runs maps each simulated configuration, its tau included, to its JTA:
     the pair reuses the runs it holds and adds its own, so that a later
-    optimize_delays with the same dict simulates neither again."""
+    optimize_delays with the same dict simulates neither again.  Two
+    sources on different time grids raise ConfigError."""
+    _check_pair(cfg1, cfg2)
     runs = {} if runs is None else runs
     with WorkerPool(2) as workers:
         _fill(workers, runs, (cfg1, cfg2))
     return _study(cfg1, cfg2, runs)
 
 
-# every delay the optimizer visits is a point tau_max * i/_CELLS of one
-# lattice, so that a delay reached twice is the same float and runs once
+# every delay the optimizer visits is a point tau_max * i/_CELLS of its own
+# source's lattice, so that a delay reached twice is the same float
 _CELLS = 160
+
+# the search starts from this many evenly spaced delays and tau_max/2
+_START_POINTS = 6
 
 
 def _stencil(stored, b):
@@ -300,46 +306,48 @@ def _next_runs(scores, stored, best, n):
 
 
 def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rhom",
-                    coarse_points: int = 6, runs: dict | None = None) -> PairStudy:
-    """Search (tau1, tau2) maximizing the chosen visibility over the lattice
-    tau = tau_max * i/160.
+                    runs: dict | None = None) -> PairStudy:
+    """Search (tau1, tau2) maximizing the chosen visibility over the
+    lattices tau_k = tau_max_k * i/160, one per source.
 
-    The search starts from coarse_points evenly spaced delays and tau_max/2
-    on each source.  After every batch of runs it scores every pair (tau1
-    of source 1, tau2 of source 2) of the runs it has asked for, and picks
-    the next batch from a local quadratic model about the best pair (see
+    The search starts from 6 evenly spaced delays and tau_max/2 on each
+    source.  After every batch of runs it scores every pair (tau1 of
+    source 1, tau2 of source 2) of the runs it has asked for, and picks the
+    next batch from a local quadratic model about the best pair (see
     _next_runs).  It stops when the best pair's four unit-cell neighbours
     are scored and none beats it.  Ties break toward the symmetric
     midpoint delay.  runs, as in evaluate_pair, holds the runs made earlier
     and receives the new ones; equal configurations share their runs.  The
     batches depend on the scores alone, so a pooled search makes the same
-    runs and candidates as a serial one.
+    runs and candidates as a serial one.  Two sources on different time
+    grids raise ConfigError.
     """
+    _check_pair(cfg1, cfg2)
     if objective not in ("rhom", "hhom"):
         raise ValueError("objective must be 'rhom' or 'hhom'")
-    if coarse_points < 2:
-        raise ValueError("coarse_points must be >= 2")
     runs = {} if runs is None else runs
+    stored = len(runs)
     t0 = cfg1.pump.t0_fwhm
-    tau_max = derive_run_params(cfg1).tau_max
     n = _CELLS
     mid = n // 2
     cfgs = (cfg1, cfg2)
+    tau_max = [tau_max_of(cfg) for cfg in cfgs]
+
+    def tau(k, i):
+        return tau_max[k] * (i / n)
 
     def at(k, i):
-        return cfgs[k].replace(pump={"tau": tau_max * (i / n)})
+        return cfgs[k].replace(pump={"tau": tau(k, i)})
 
     # per source, lattice index -> (JTA, mean arrival times, marginals of a
     # source-2 run): each run is reduced once, when the search takes it
     taken = ({}, {})
     scores = {}
-    candidates = []
-    source_runs = 0
-    start = {k * n // (coarse_points - 1) for k in range(coarse_points)} | {mid}
+    start = {k * n // (_START_POINTS - 1) for k in range(_START_POINTS)} | {mid}
     new = [start, start]
     with WorkerPool(2 * len(start)) as workers:
         while any(new):
-            source_runs += _fill(workers, runs, [at(k, i) for k in (0, 1) for i in sorted(new[k])])
+            _fill(workers, runs, [at(k, i) for k in (0, 1) for i in sorted(new[k])])
             for k in (0, 1):
                 for i in sorted(new[k]):
                     phi = runs[at(k, i)]
@@ -356,7 +364,6 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
                     # candidate is outside the usable delay range
                     v = -np.inf
                 scores[i, j] = v
-                candidates.append((tau_max * (i / n), tau_max * (j / n), v))
             # the best score, ties within 1e-12 going to the pair nearest
             # the midpoint
             top = max(scores.values())
@@ -366,6 +373,7 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
 
     # the reductions are those _study makes again, so its objective is the
     # winning candidate's own float
-    return _study(at(0, best[0]), at(1, best[1]), runs, optimal_tau1=tau_max * (best[0] / n),
-                  optimal_tau2=tau_max * (best[1] / n), candidates=candidates,
-                  source_runs=source_runs)
+    return _study(at(0, best[0]), at(1, best[1]), runs, optimal_tau1=tau(0, best[0]),
+                  optimal_tau2=tau(1, best[1]),
+                  candidates=[(tau(0, i), tau(1, j), v) for (i, j), v in scores.items()],
+                  source_runs=len(runs) - stored)

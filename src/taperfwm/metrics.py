@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import C_LIGHT, DispersionSet, SourceConfig
-from .jta import JointAmplitude, SimulationResult, jta_to_jsa, sum_abs2
+from .jta import JointAmplitude, SimulationResult, sum_abs2
 
 
 @dataclass
@@ -25,11 +25,6 @@ class MetricsReport:
 
     def to_dict(self):
         return asdict(self)
-
-
-def in_frequency(phi: JointAmplitude) -> JointAmplitude:
-    """The amplitude as a JSA: itself, or the transform of a JTA."""
-    return phi if phi.domain == "frequency" else jta_to_jsa(phi)
 
 
 _GRAM_BLOCKS = 8
@@ -57,9 +52,11 @@ def marginals(phi: JointAmplitude):
     return inten.sum(axis=1), inten.sum(axis=0)
 
 
-def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
-    """Mean wavelength shift of each photon about its reference wavelength."""
-    jsa = in_frequency(phi)
+def mean_shift(jsa: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
+    """Mean wavelength shift of each photon about its reference wavelength,
+    from a JSA."""
+    if jsa.domain != "frequency":
+        raise ValueError("mean_shift expects a frequency-domain amplitude")
     ms, mi = marginals(jsa)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
@@ -99,18 +96,18 @@ def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
     return dlam_i - dlam_i_ec
 
 
-def _idler_spectrum(phi: JointAmplitude):
-    jsa = in_frequency(phi)
-    return phi.z, phi.grid, marginals(jsa)[1] * jsa.grid.dw
+def _idler_spectrum(jsa: JointAmplitude):
+    if jsa.domain != "frequency":
+        raise ValueError("spectral_cumulative expects frequency-domain amplitudes")
+    return jsa.z, jsa.grid, marginals(jsa)[1] * jsa.grid.dw
 
 
 def spectral_cumulative(snapshots):
     """Per-z Idler marginal intensity of the evolving joint spectrum.
 
-    snapshots is any iterable of amplitudes, in either domain; each is
-    released before the next is drawn.  Returns (z_nodes, w_axis, map) with
-    map[k] the Idler spectral intensity at snapshot k, peak-normalized over
-    the whole map.
+    snapshots is any iterable of JSAs; each is released before the next is
+    drawn.  Returns (z_nodes, w_axis, map) with map[k] the Idler spectral
+    intensity at snapshot k, peak-normalized over the whole map.
     """
     rows = list(map(_idler_spectrum, snapshots))
     if len(rows) < 2:

@@ -61,7 +61,7 @@ def test_simulate_dumps_every_requested_snapshot(cfg_path, tmp_path):
 
 
 def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
-    from taperfwm import cli, jta, metrics
+    from taperfwm import cli, jta
 
     built = []
     real_jta_to_jsa = jta.jta_to_jsa
@@ -70,7 +70,7 @@ def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
         built.append(phi.z)
         return real_jta_to_jsa(phi)
 
-    for module in (cli, jta, metrics):
+    for module in (cli, jta):
         monkeypatch.setattr(module, "jta_to_jsa", counted)
     out = tmp_path / "out"
     assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-jsa",

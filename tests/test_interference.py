@@ -128,14 +128,15 @@ def test_align_arrival_times(fast_cfg):
 
 
 def test_evaluate_pair_identical_sources(fast_cfg):
-    study = evaluate_pair(fast_cfg, fast_cfg)
+    store = {}
+    study = evaluate_pair(fast_cfg, fast_cfg, store)
     assert study.v_rhom == pytest.approx(1.0, abs=1e-9)
-    assert study.v_hhom == pytest.approx(heralded_purity(study.phi1), abs=1e-9)
+    assert study.v_hhom == pytest.approx(heralded_purity(store[fast_cfg]), abs=1e-9)
 
 
 def test_optimizer_identical_sources_degenerate_optimum():
     cfg = table1_config(numerics=FAST)
-    study = optimize_delays(cfg, cfg, coarse_points=5)
+    study = optimize_delays(cfg, cfg)
     tm = tau_max_of(cfg)
     assert study.v_rhom == pytest.approx(1.0, abs=1e-9)
     assert study.optimal_tau1 == pytest.approx(tm / 2.0, abs=tm / 200.0)
@@ -145,7 +146,7 @@ def test_optimizer_identical_sources_degenerate_optimum():
 def test_optimizer_beats_center(fast_cfg):
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
     center = evaluate_pair(fast_cfg, cfg2)
-    study = optimize_delays(fast_cfg, cfg2, coarse_points=5)
+    study = optimize_delays(fast_cfg, cfg2)
     assert study.v_rhom >= center.v_rhom - 1e-12
 
 
@@ -176,12 +177,12 @@ def test_pair_and_optimizer_share_source_runs(monkeypatch, fast_cfg):
     _serial(monkeypatch)
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
     raw_alone = evaluate_pair(fast_cfg, cfg2)
-    opt_alone = optimize_delays(fast_cfg, cfg2, coarse_points=3)
+    opt_alone = optimize_delays(fast_cfg, cfg2)
 
     runs = _count_runs(monkeypatch)
     store = {}
     raw = evaluate_pair(fast_cfg, cfg2, store)
-    opt = optimize_delays(fast_cfg, cfg2, coarse_points=3, runs=store)
+    opt = optimize_delays(fast_cfg, cfg2, runs=store)
 
     # the raw pair sits at tau_max/2, the optimizer's start point: every
     # run is distinct and the raw runs are not repeated
@@ -199,7 +200,7 @@ def test_equal_configs_share_one_store(monkeypatch, fast_cfg):
     runs = _count_runs(monkeypatch)
     store = {}
     raw = evaluate_pair(fast_cfg, fast_cfg, store)
-    opt = optimize_delays(fast_cfg, fast_cfg, coarse_points=3, runs=store)
+    opt = optimize_delays(fast_cfg, fast_cfg, runs=store)
     assert len(runs) == len(set(runs)) == len(store)
     assert raw.v_rhom == pytest.approx(1.0, abs=1e-12)
     assert opt.v_rhom == pytest.approx(1.0, abs=1e-12)
@@ -208,7 +209,7 @@ def test_equal_configs_share_one_store(monkeypatch, fast_cfg):
 def test_equal_configs_without_a_store_simulate_each_delay_once(monkeypatch, fast_cfg):
     _serial(monkeypatch)
     runs = _count_runs(monkeypatch)
-    opt = optimize_delays(fast_cfg, fast_cfg, coarse_points=3)
+    opt = optimize_delays(fast_cfg, fast_cfg)
     assert len(runs) == len(set(runs))
     assert {c[0] for c in opt.candidates} == {cfg.pump.tau for cfg in runs}
 
@@ -245,14 +246,14 @@ def test_optimizer_runs_no_metrics(monkeypatch, fast_cfg):
 
     monkeypatch.setattr(simulate, "compute_metrics", forbidden)
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
-    study = optimize_delays(fast_cfg, cfg2, coarse_points=3)
+    study = optimize_delays(fast_cfg, cfg2)
     assert study.candidates
 
 
-def _optimize(monkeypatch, pool, cfg1, cfg2, **kw):
+def _optimize(monkeypatch, pool, cfg1, cfg2):
     (_pooled if pool else _serial)(monkeypatch)
     runs = {}
-    return optimize_delays(cfg1, cfg2, runs=runs, **kw), runs
+    return optimize_delays(cfg1, cfg2, runs=runs), runs
 
 
 # criterion 8's pair on the fast grid: its optimum lies away from
@@ -262,8 +263,8 @@ MOVING_PAIR = table1_config(numerics=FAST, geometry={"taper_amplitude": 0.1e-6})
 
 def test_pool_and_serial_paths_agree_bitwise(monkeypatch):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    serial, serial_runs = _optimize(monkeypatch, False, MOVING_PAIR, cfg2, coarse_points=5)
-    pooled, pooled_runs = _optimize(monkeypatch, True, MOVING_PAIR, cfg2, coarse_points=5)
+    serial, serial_runs = _optimize(monkeypatch, False, MOVING_PAIR, cfg2)
+    pooled, pooled_runs = _optimize(monkeypatch, True, MOVING_PAIR, cfg2)
     assert pooled.candidates == serial.candidates
     assert (pooled.optimal_tau1, pooled.optimal_tau2) == (serial.optimal_tau1, serial.optimal_tau2)
     assert (pooled.v_rhom, pooled.v_hhom) == (serial.v_rhom, serial.v_hhom)
@@ -290,18 +291,22 @@ def _taus(runs, cfg):
     return {c.pump.tau for c in runs if c == cfg.replace(pump={"tau": c.pump.tau})}
 
 
-# every delay is a point tau_max * i/160 of one lattice, whatever coarse_points
+# every delay is a point tau_max * i/160 of its source's lattice
 LATTICE_CELLS = 160
+
+
+def _lattice(cfg):
+    return {tau_max_of(cfg) * (i / LATTICE_CELLS) for i in range(LATTICE_CELLS + 1)}
 
 
 @pytest.mark.parametrize("pool", [False, True])
 def test_runs_are_lattice_points_near_candidates(monkeypatch, pool):
     cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    study, runs = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2, coarse_points=5)
+    study, runs = _optimize(monkeypatch, pool, MOVING_PAIR, cfg2)
     taus1, taus2 = _taus(runs, MOVING_PAIR), _taus(runs, cfg2)
     assert len(taus1) + len(taus2) == len(runs)
-    lattice = {tau_max_of(MOVING_PAIR) * (i / LATTICE_CELLS) for i in range(LATTICE_CELLS + 1)}
-    assert taus1 | taus2 <= lattice
+    assert taus1 <= _lattice(MOVING_PAIR)
+    assert taus2 <= _lattice(cfg2)
     # every run the search takes is paired with every run of the other
     # source: the candidates are the whole product of the two run sets
     assert sorted((c[0], c[1]) for c in study.candidates) == sorted(
@@ -327,14 +332,40 @@ def test_no_source_tau_is_simulated_twice(monkeypatch):
     monkeypatch.setattr(interference, "run_source", counted)
     store = {}
     evaluate_pair(MOVING_PAIR, cfg2, store)
-    optimize_delays(MOVING_PAIR, cfg2, coarse_points=5, runs=store)
+    optimize_delays(MOVING_PAIR, cfg2, runs=store)
     assert len(runs) == len(set(runs))
     assert len(runs) == len(store)
 
 
+@pytest.mark.parametrize("short_first", [False, True])
+def test_each_source_is_searched_over_its_own_delay_range(short_first):
+    # a 1.2 cm waveguide has a walk-through delay tau_max of 3.84 ps, the
+    # 1.5 cm one 4.8 ps: in either order, each source's delays run from 0
+    # to its own tau_max on its own lattice
+    short = MOVING_PAIR.replace(geometry={"length": 1.2e-2})
+    cfgs = (short, MOVING_PAIR) if short_first else (MOVING_PAIR, short)
+    study = optimize_delays(*cfgs)
+    assert np.isfinite(study.v_rhom)
+    for k, cfg in enumerate(cfgs):
+        taus = {c[k] for c in study.candidates}
+        assert taus <= _lattice(cfg)
+        assert (min(taus), max(taus)) == (0.0, tau_max_of(cfg))
+    assert tau_max_of(short) == pytest.approx(0.8 * tau_max_of(MOVING_PAIR), rel=1e-12)
+
+
+@pytest.mark.parametrize("study", [evaluate_pair, optimize_delays])
+def test_pair_on_two_time_grids_is_refused_before_any_run(monkeypatch, fast_cfg, study):
+    _serial(monkeypatch)
+    runs = _count_runs(monkeypatch)
+    other = fast_cfg.replace(pump={"t0_fwhm": 1.0e-12})
+    with pytest.raises(ConfigError, match="share one time grid"):
+        study(fast_cfg, other)
+    assert runs == []
+
+
 def test_shared_pump_trace_matches_separate_runs():
     # one serial batch groups the two geometries by pump trace at each of
-    # the default 11 coarse delays, tau_max * i/160 for i = 0, 16, ..., 160
+    # 11 evenly spaced delays, tau_max * i/160 for i = 0, 16, ..., 160
     taus = [tau_max_of(MOVING_PAIR) * (i / 160) for i in range(0, 161, 16)]
     cfgs = [MOVING_PAIR.replace(geometry={"width_offset": w}, pump={"tau": t})
             for w in (0.0, 60e-9) for t in taus]
@@ -370,11 +401,11 @@ def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
 def test_pool_workers_are_joined(monkeypatch, fast_cfg):
     _pooled(monkeypatch)
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
-    optimize_delays(fast_cfg, cfg2, coarse_points=3)
+    optimize_delays(fast_cfg, cfg2)
     assert multiprocessing.active_children() == []
     bad = fast_cfg.replace(numerics={"n_z": 50})
     with pytest.raises(ConfigError):
-        optimize_delays(bad, bad, coarse_points=3)
+        optimize_delays(bad, bad)
     assert multiprocessing.active_children() == []
 
 

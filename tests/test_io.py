@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taperfwm import io
-from taperfwm.metrics import jta_to_jsa
+from taperfwm.jta import jta_to_jsa
 
 
 @pytest.fixture()

@@ -11,8 +11,7 @@ import pytest
 from taperfwm import jta, run_source, simulate, table1_config
 from taperfwm.config import derive_run_params
 from taperfwm.interference import evaluate_pair
-from taperfwm.jta import _source_diag, evolve_jta, perturbative_oracle, step_drives
-from taperfwm.metrics import jta_to_jsa
+from taperfwm.jta import _source_diag, evolve_jta, jta_to_jsa, perturbative_oracle, step_drives
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.simulate import WorkerPool

@@ -225,7 +225,7 @@ def test_spectral_cumulative_growth():
         dispersion={"alpha_s": 1e-12, "alpha_i": 1e-12},
     )
     out = run_source(cfg, snapshots=8)
-    zs, w_axis, smap = spectral_cumulative(out.result.snapshots)
+    zs, w_axis, smap = spectral_cumulative(map(jta_to_jsa, out.result.snapshots))
     assert smap.shape == (len(zs), 64)
     totals = smap.sum(axis=1)
     assert np.all(np.diff(totals) >= -1e-10 * totals.max())
@@ -236,8 +236,16 @@ def test_spectral_cumulative_growth():
 
 
 def test_spectral_cumulative_needs_snapshots(fast_run):
-    with pytest.raises(ValueError):
-        spectral_cumulative(fast_run.result.snapshots[:1])
+    with pytest.raises(ValueError, match="two snapshots"):
+        spectral_cumulative(map(jta_to_jsa, fast_run.result.snapshots[:1]))
+
+
+def test_frequency_metrics_refuse_a_jta(fast_run):
+    phi = fast_run.result.jta
+    with pytest.raises(ValueError, match="frequency-domain"):
+        mean_shift(phi, table1_config().dispersion, T0)
+    with pytest.raises(ValueError, match="frequency-domain"):
+        spectral_cumulative(fast_run.result.snapshots)
 
 
 def test_schmidt_number_inverse(fast_run):
