@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 
@@ -162,17 +163,8 @@ def cmd_oracle(args) -> int:
     loss = rp.alpha_m["s"] + rp.alpha_m["i"]
     fit = fit_erf(out.result.xi_profile, loss_rate=loss)
     L = cfg.geometry.length
-    doc = {
-        "l_match_fit": fit.l_match_fit,
-        "l_match_analytic": rp.l_match,
-        "sigma_z_fit": fit.sigma_z_fit,
-        "sigma_z_analytic": sigma_z_analytic(cfg),
-        "delta_z_fwhm": fit.delta_z_fwhm,
-        "delta_z_over_L": fit.delta_z_fwhm / L,
-        "plateau": fit.plateau,
-        "rms_residual": fit.rms_residual,
-        "reliable": fit.reliable,
-    }
+    doc = {**dataclasses.asdict(fit), "l_match_analytic": rp.l_match,
+           "sigma_z_analytic": sigma_z_analytic(cfg), "delta_z_over_L": fit.delta_z_fwhm / L}
     writer.add(io.write_json(doc, writer.path("erf_fit.json")))
     prof = out.result.xi_profile
     model = erf_xi_profile(cfg, prof.z_nodes, plateau=fit.plateau)

@@ -175,16 +175,6 @@ class SourceConfig:
         return Grid.from_numerics(self.numerics)
 
 
-@dataclass
-class ValidationReport:
-    errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.errors
-
-
 @dataclass(frozen=True)
 class RunParams:
     """Quantities derived from a validated SourceConfig."""
@@ -243,56 +233,57 @@ _WALKOFF_CHECK_TOL = 0.10
 _EDGE_AMPLITUDE = 1e-6
 
 
-def validate_config(cfg: SourceConfig) -> ValidationReport:
-    rep = ValidationReport()
+def validate_config(cfg: SourceConfig) -> list:
+    """The warnings on a configuration; ConfigError names every error."""
+    errors, warns = [], []
     p, g, d, num = cfg.pump, cfg.geometry, cfg.dispersion, cfg.numerics
 
     if p.avg_power < 0:
-        rep.errors.append("pump.avg_power must be >= 0")
+        errors.append("pump.avg_power must be >= 0")
     if p.rep_rate <= 0:
-        rep.errors.append("pump.rep_rate must be > 0")
+        errors.append("pump.rep_rate must be > 0")
     if p.t0_fwhm <= 0:
-        rep.errors.append("pump.t0_fwhm must be > 0")
+        errors.append("pump.t0_fwhm must be > 0")
     if not 0.0 <= p.split_fraction <= 1.0:
-        rep.errors.append("pump.split_fraction must lie in [0, 1]")
+        errors.append("pump.split_fraction must lie in [0, 1]")
     if g.length <= 0:
-        rep.errors.append("geometry.length must be > 0")
+        errors.append("geometry.length must be > 0")
     if g.taper_amplitude < 0:
-        rep.errors.append("geometry.taper_amplitude must be >= 0")
+        errors.append("geometry.taper_amplitude must be >= 0")
 
     if g.length > 0:
         widths = g.width_at(np.linspace(0.0, g.length, 1001))
         if np.any(widths <= 0):
-            rep.errors.append("local width w(z) must stay positive along the taper")
+            errors.append("local width w(z) must stay positive along the taper")
 
     for name in ("v_p1", "v_p2", "v_s", "v_i"):
         if getattr(d, name) <= 0:
-            rep.errors.append(f"dispersion.{name} must be > 0")
+            errors.append(f"dispersion.{name} must be > 0")
     for name in (
         "gamma_1111", "gamma_1122", "gamma_2211", "gamma_2222",
         "gamma_11ss", "gamma_22ss", "gamma_11ii", "gamma_22ii", "gamma_p1p2si",
     ):
         if getattr(d, name) <= 0:
-            rep.errors.append(f"dispersion.{name} must be > 0")
+            errors.append(f"dispersion.{name} must be > 0")
     if not d.lam_i < p.center_wavelength < d.lam_s:
-        rep.errors.append("expected lam_i < pump wavelength < lam_s")
+        errors.append("expected lam_i < pump wavelength < lam_s")
     if d.l_w_p <= 0:
-        rep.errors.append("dispersion.l_w_p must be > 0")
+        errors.append("dispersion.l_w_p must be > 0")
 
     if num.n_t < 64:
-        rep.errors.append("numerics.n_t must be >= 64")
+        errors.append("numerics.n_t must be >= 64")
     if num.n_t & (num.n_t - 1):
-        rep.errors.append("numerics.n_t must be a power of two")
+        errors.append("numerics.n_t must be a power of two")
     if num.n_z < 100:
-        rep.errors.append("numerics.n_z must be >= 100")
+        errors.append("numerics.n_z must be >= 100")
     t_min, t_max = num.t_window
     if t_max <= t_min:
-        rep.errors.append("numerics.t_window must be an increasing interval")
+        errors.append("numerics.t_window must be an increasing interval")
     elif g.length > 0 and d.l_w_i != 0:
         drift = g.length / abs(d.l_w_i)
         needed = drift + 6.0
         if (t_max - t_min) < needed:
-            rep.errors.append(
+            errors.append(
                 f"t_window span {t_max - t_min:.2f} too small: Idler drift plus "
                 f"margins needs at least {needed:.2f}"
             )
@@ -301,16 +292,16 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
         if num.n_t > 0 and num.n_z > 0:
             dt = (t_max - t_min) / num.n_t
             if num.n_z * dt < drift:
-                rep.errors.append(
+                errors.append(
                     f"numerics.n_z = {num.n_z} too small for n_t = {num.n_t}: the Idler "
                     f"walks {drift / (num.n_z * dt):.2f} time cells per z-step (at most 1); "
                     f"need n_z >= {math.ceil(drift / dt)}"
                 )
 
-    if not rep.errors:
+    if not errors:
         tmax = tau_max_of(cfg)
         if not 0.0 <= p.tau <= tmax * (1.0 + 1e-12):
-            rep.errors.append(
+            errors.append(
                 f"pump.tau = {p.tau:.3e} s outside [0, tau_max = {tmax:.3e} s]"
             )
         else:
@@ -321,7 +312,7 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
             for center in (p.tau / p.t0_fwhm, 0.0):
                 edge = np.exp(-2.0 * np.log(2.0) * (ends - center) ** 2).max()
                 if edge > _EDGE_AMPLITUDE:
-                    rep.errors.append(
+                    errors.append(
                         f"numerics.t_window too small: pulse at T={center:.2f} has edge "
                         f"amplitude {edge:.2e} (limit {_EDGE_AMPLITUDE})"
                     )
@@ -332,7 +323,7 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
             continue
         from_v = p.t0_fwhm / abs(1.0 / v - 1.0 / d.v_p1)
         if abs(from_v - abs(l_w)) > _WALKOFF_CHECK_TOL * from_v:
-            rep.warnings.append(
+            warns.append(
                 f"dispersion.{name}: |value| {abs(l_w):.3e} m differs from the "
                 f"velocity-implied {from_v:.3e} m; tabulated value is used"
             )
@@ -341,12 +332,14 @@ def validate_config(cfg: SourceConfig) -> ValidationReport:
     inert = [f"geometry.{name}" for name in ("taper_amplitude", "width_offset", "height_offset")
              if getattr(g, name) != 0]
     if inert and cfg.mismatch.c_kappa_w == 0 and cfg.mismatch.c_kappa_h == 0:
-        rep.warnings.append(
+        warns.append(
             f"{', '.join(inert)} ignored: mismatch.c_kappa_w and c_kappa_h are both 0 "
             '(the "table1" defaults calibrate them)'
         )
 
-    return rep
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return warns
 
 
 def table1_config(**section_updates) -> SourceConfig:
@@ -436,14 +429,7 @@ def config_from_dict(doc: dict) -> SourceConfig:
 
 
 def config_to_dict(cfg: SourceConfig) -> dict:
-    out = {}
-    for name, typ in _SECTION_TYPES.items():
-        sec = getattr(cfg, name)
-        d = dataclasses.asdict(sec)
-        if name == "numerics":
-            d["t_window"] = list(d["t_window"])
-        out[name] = d
-    return out
+    return {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTION_TYPES}
 
 
 def load_config(path) -> SourceConfig:
@@ -455,9 +441,10 @@ def load_config(path) -> SourceConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     cfg = config_from_dict(doc)
-    rep = validate_config(cfg)
-    if not rep.ok:
-        raise ConfigError(f"{path}: " + "; ".join(rep.errors))
-    for msg in rep.warnings:
+    try:
+        warns = validate_config(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for msg in warns:
         warnings.warn(f"{path}: {msg}", ConfigWarning, stacklevel=2)
     return cfg

@@ -72,8 +72,15 @@ def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     return float(np.sum(np.abs(overlap) ** 2))
 
 
+# compensating delays in a pair study can be several pulse widths; the
+# dispersed low-level floor of the amplitudes (~1e-5 of the norm) then
+# inevitably crosses the periodic boundary, biasing visibilities by an
+# amount of the same order, far below the tolerances of interest
+_PAIR_WRAP_TOL = 1e-4
+
+
 def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwhm: float,
-                     wrap_tol: float = 1e-6, margs=None) -> JointAmplitude:
+                     wrap_tol: float = _PAIR_WRAP_TOL, margs=None) -> JointAmplitude:
     """phi(T_s + shift_s/T0, T_i + shift_i/T0) via an exact spectral phase ramp.
 
     Shifts that would push more than a wrap_tol norm fraction across the
@@ -117,7 +124,7 @@ def _check_wrap(marg, a, dt, wrap_tol):
 
 
 def align_arrival_times(phi1: JointAmplitude, phi2: JointAmplitude, t0_fwhm: float,
-                        wrap_tol: float = 1e-6, means=None, margs2=None):
+                        wrap_tol: float = _PAIR_WRAP_TOL, means=None, margs2=None):
     """Shift source 2 so its mean arrival times match source 1.
 
     Returns (shifted phi2, shift_s, shift_i) with shifts in seconds.  means,
@@ -173,21 +180,13 @@ def _fill(workers: WorkerPool, runs: dict, cfgs):
         runs.update(zip(task, jtas))
 
 
-# compensating delays in a pair study can be several pulse widths; the
-# dispersed low-level floor of the amplitudes (~1e-5 of the norm) then
-# inevitably crosses the periodic boundary, biasing visibilities by an
-# amount of the same order, far below the tolerances of interest
-_PAIR_WRAP_TOL = 1e-4
-
-
 _VISIBILITIES = {"rhom": rhom_visibility, "hhom": hhom_visibility}
 
 
 def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom"), means=None, margs2=None):
     """The visibilities named in kinds, after arrival-time alignment (means
     and margs2 as in align_arrival_times)."""
-    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, wrap_tol=_PAIR_WRAP_TOL,
-                                               means=means, margs2=margs2)
+    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, means=means, margs2=margs2)
     vis = {kind: _VISIBILITIES[kind](phi1, phi2_shifted) for kind in kinds}
     return vis, ds, di
 
@@ -315,12 +314,12 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     source 1, tau2 of source 2) of the runs it has asked for, and picks the
     next batch from a local quadratic model about the best pair (see
     _next_runs).  It stops when the best pair's four unit-cell neighbours
-    are scored and none beats it.  Ties break toward the symmetric
-    midpoint delay.  runs, as in evaluate_pair, holds the runs made earlier
-    and receives the new ones; equal configurations share their runs.  The
-    batches depend on the scores alone, so a pooled search makes the same
-    runs and candidates as a serial one.  Two sources on different time
-    grids raise ConfigError.
+    are scored and none beats it, or when the midpoint pair scores 1.
+    Ties break toward the symmetric midpoint delay.  runs, as in
+    evaluate_pair, holds the runs made earlier and receives the new ones;
+    equal configurations share their runs.  The batches depend on the
+    scores alone, so a pooled search makes the same runs and candidates as
+    a serial one.  Two sources on different time grids raise ConfigError.
     """
     _check_pair(cfg1, cfg2)
     if objective not in ("rhom", "hhom"):
@@ -369,6 +368,10 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
             top = max(scores.values())
             best = min((c for c, v in scores.items() if v >= top - 1e-12),
                        key=lambda c: ((c[0] - mid) ** 2 + (c[1] - mid) ** 2, c))
+            # no pair beats a perfect score at the midpoint, and no pair
+            # nearer the midpoint can tie it
+            if best == (mid, mid) and scores[best] >= 1.0 - 1e-12:
+                break
             new = _next_runs(scores, [set(taken[0]), set(taken[1])], best, n)
 
     # the reductions are those _study makes again, so its objective is the

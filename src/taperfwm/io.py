@@ -167,7 +167,6 @@ class ArtifactWriter:
         self.manifest = {
             "command": command,
             "configs": [config_to_dict(c) for c in configs],
-            "output_dir": str(self.out_dir),
             "version": __version__,
             "files": {},  # name -> sha256
         }

@@ -164,21 +164,21 @@ def evolve_jta(
     Each step is a symmetrized split step: a linear half-step in the
     frequency domain, the signal/idler XPM phase and the source injection
     on the time grid at the pump midpoint, and a second linear half-step.
-    At every interior node the trailing half-step and the next leading one
-    are fused into a single full-step multiplier.  The state lives in one
-    n x n buffer that is transformed in place.  A snapshot at one of the
-    `snapshots` evenly spaced nodes (see snapshot_nodes) is formed from a
-    copy, by the 1-D half-step factors, and leaves the state alone, so the
-    result does not depend on the snapshots; only the last node applies
-    its half-step to the state itself.
+    The trailing half-step of one step and the leading one of the next
+    are fused into one full-step multiplier, which every step takes: the
+    state starts at zero, on which a half-step acts as a full one.  The
+    state lives in one n x n buffer that is transformed in place.  settle
+    takes the half-step a node owes: on a copy for a snapshot at one of
+    the `snapshots` evenly spaced nodes (see snapshot_nodes), so the result
+    does not depend on the snapshots, and on the state at the last node.
 
     Each 2-D transform runs as its two 1-D passes in the order
     np.fft.fftn(axes=(0, 1)) takes them: axis 1 over contiguous row slabs,
     then axis 0 over column slabs, the slabs shared with helper threads
     that live for this call only (see _slab_count).  A step's elementwise
-    work runs on each row slab ahead of its pass: the linear step the
-    state owes ahead of the forward transform, the XPM phases and the
-    injected diagonal ahead of the inverse one.  The diagonal after the
+    work runs on each row slab ahead of its pass: the full-step multiplier
+    ahead of the forward transform, the XPM phases and the injected
+    diagonal ahead of the inverse one.  The diagonal after the
     XPM phases, the source and the bookkeeping are formed on the calling
     thread between the transforms.  Each 1-D transform sees the same data,
     and each element the same operations in the same order, for any slab
@@ -203,7 +203,8 @@ def evolve_jta(
     nl_on = num.xpm_spm_enabled
 
     # the state: time domain around the nonlinear part of a step, frequency
-    # domain (the unnormalized ifft2 of the time values) between steps
+    # domain (the unnormalized ifft2 of the time values) between steps; it
+    # starts at zero, which is both
     state = np.zeros((n, n), complex)
     diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
 
@@ -244,21 +245,21 @@ def evolve_jta(
         each_slab(cols)
         return a
 
-    def half_step(v, s):
-        v *= half_s[s]
-        v *= half_i
-
     def full_step(v, s):
         v *= full_mult[s]
+
+    def settle(k, a):
+        # the amplitude at node k of a, the state or a copy of it
+        a *= half_s
+        a *= half_i
+        return physical(k, transform(a, np.fft.fft))
 
     try:
         if 0 in snap_nodes:
             snaps.append(physical(0, state.copy()))
-        transform(state, np.fft.ifft)
-        owed = half_step  # the linear step the state takes ahead of its next forward pass
 
         for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
-            transform(state, np.fft.fft, owed)
+            transform(state, np.fft.fft, full_step)
 
             # the diagonal after the XPM phases, which the state itself
             # takes ahead of the inverse pass
@@ -289,12 +290,9 @@ def evolve_jta(
                 raise PropagationError(f"JTA propagation diverged at step {k + 1}")
 
             if k + 1 < n_z and k + 1 in snap_nodes:
-                snap = state * half_s
-                snap *= half_i
-                snaps.append(physical(k + 1, transform(snap, np.fft.fft)))
-            owed = full_step
+                snaps.append(settle(k + 1, state.copy()))
 
-        final = physical(n_z, transform(state, np.fft.fft, half_step))
+        final = settle(n_z, state)
     finally:
         if helpers is not None:
             helpers.shutdown()

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import ConfigError, SourceConfig, validate_config
+from .config import SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta, worker_count
 from .metrics import MetricsReport, compute_metrics
 from .pumps import PumpTrace, propagate_pumps
@@ -52,9 +52,7 @@ def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int 
     pump_trace, the trace of a run whose pumps.trace_key equals this
     configuration's, replaces the pump propagation: the trace depends on
     nothing else, so the run is bitwise the same."""
-    rep = validate_config(cfg)
-    if not rep.ok:
-        raise ConfigError("; ".join(rep.errors))
+    validate_config(cfg)
     trace = pump_trace
     if trace is None:
         trace = propagate_pumps(cfg)

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package is named by the
-package, the scripts or the benchmark, not only by the tests; and every
-field of a package dataclass is read there."""
+package, the scripts or the benchmark, not only by the tests; every field
+of a package dataclass is read there; and every parameter default of a
+package function or class is overridden by a call there."""
 
 import ast
 from pathlib import Path
@@ -17,11 +18,15 @@ NO_CALLER_NEEDED = {"perturbative_oracle", "delay_line_requirements", "read_cjm1
 
 # dataclasses whose fields need no reader of their own: the five config
 # sections are the config schema, whose fields are read by name (spectral
-# builds "l_d_<field>" with getattr); MetricsReport is written whole
-# through asdict; DelayLineSpec is what the exempt delay_line_requirements
-# returns
+# builds "l_d_<field>" with getattr); MetricsReport and ErfFit are written
+# whole through asdict; DelayLineSpec is what the exempt
+# delay_line_requirements returns
 NO_READER_NEEDED = {"PumpSpec", "GeometrySpec", "DispersionSet", "MismatchModel",
-                    "NumericsSpec", "MetricsReport", "DelayLineSpec"}
+                    "NumericsSpec", "MetricsReport", "ErfFit", "DelayLineSpec"}
+
+# parameters with a default that no call passes: file and line of
+# cli._print_warning complete the warnings.showwarning signature
+NO_PASSER_NEEDED = {("_print_warning", "file"), ("_print_warning", "line")}
 
 
 def _named(tree):
@@ -95,3 +100,48 @@ def test_every_dataclass_field_has_a_reader_outside_the_tests():
                                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert not unread, f"dataclass fields read only by the tests, or by nothing: {unread}"
+
+
+def _defaulted(fn, method=False):
+    """(index among the positional parameters or None, name) of each
+    parameter of fn that has a default; a method's first parameter, which
+    no call passes in its parentheses, is not counted."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[method:]
+    first = len(positional) - len(a.defaults)
+    for k, arg in enumerate(positional[first:], first):
+        yield k, arg.arg
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _callee(node):
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
+def test_every_parameter_default_is_overridden_outside_the_tests():
+    """A call overrides a default by keyword, or by position (a *args or a
+    **kwargs passes everything); a class is matched by its name and a
+    method by its attribute name."""
+    defaults, passed = set(), set()
+    for path, tree in _trees():
+        if path.parent == PACKAGE:
+            for d in _definitions(tree):
+                if isinstance(d, ast.ClassDef):
+                    for m in d.body:
+                        if isinstance(m, ast.FunctionDef):
+                            name = d.name if m.name == "__init__" else m.name
+                            defaults |= {(name, k, p) for k, p in _defaulted(m, method=True)}
+                else:
+                    defaults |= {(d.name, k, p) for k, p in _defaulted(d)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                kwargs = any(kw.arg is None for kw in node.keywords)
+                passed.add((_callee(node), len(node.args), starred or kwargs,
+                            frozenset(kw.arg for kw in node.keywords)))
+    unpassed = sorted(f"{fn}.{p}" for fn, k, p in defaults if (fn, p) not in NO_PASSER_NEEDED
+                      and not any(callee == fn and (every or p in kws or (k is not None and k < n))
+                                  for callee, n, every, kws in passed))
+    assert not unpassed, f"defaults that only the tests override, or nothing: {unpassed}"

@@ -24,15 +24,13 @@ C = 299792458.0
 
 
 def test_defaults_validate_cleanly():
-    rep = validate_config(table1_config())
-    assert rep.ok, rep.errors
+    assert isinstance(validate_config(table1_config()), list)
 
 
 def test_signal_walkoff_inconsistency_warned():
     # the tabulated |L_w,s| does not match the tabulated velocities; the
     # tabulated value wins but the mismatch must be surfaced
-    rep = validate_config(table1_config())
-    assert any("l_w_s" in w for w in rep.warnings)
+    assert any("l_w_s" in w for w in validate_config(table1_config()))
 
 
 def test_tau_max_value():
@@ -80,36 +78,39 @@ def test_width_taper_endpoints():
 
 def test_nonpositive_width_fatal():
     cfg = table1_config(geometry={"taper_amplitude": 2e-6, "width_offset": -1e-6})
-    rep = validate_config(cfg)
-    assert not rep.ok
-    assert any("width" in e for e in rep.errors)
+    with pytest.raises(ConfigError, match="width"):
+        validate_config(cfg)
 
 
 def test_tau_out_of_range_fatal():
     cfg = table1_config(pump={"tau": 6e-12})
-    rep = validate_config(cfg)
-    assert not rep.ok
-    assert any("tau" in e for e in rep.errors)
+    with pytest.raises(ConfigError, match="tau"):
+        validate_config(cfg)
 
 
 def test_n_t_power_of_two_enforced():
     cfg = table1_config(numerics={"n_t": 96})
-    assert not validate_config(cfg).ok
+    with pytest.raises(ConfigError, match="n_t must be a power of two"):
+        validate_config(cfg)
+
+
+def test_every_error_is_named():
+    cfg = table1_config(numerics={"n_t": 96, "n_z": 50})
+    with pytest.raises(ConfigError, match="n_t must be a power of two; numerics.n_z must be >= 100"):
+        validate_config(cfg)
 
 
 def test_window_must_contain_idler_drift():
     cfg = table1_config(numerics={"t_window": (-2.0, 2.0)})
-    rep = validate_config(cfg)
-    assert not rep.ok
-    assert any("t_window" in e for e in rep.errors)
+    with pytest.raises(ConfigError, match="t_window"):
+        validate_config(cfg)
 
 
 def test_idler_walks_at_most_one_cell_per_z_step():
     # at n_t = 512 a z-step of L / 180 walks the Idler 1.03 time cells
-    rep = validate_config(table1_config(numerics={"n_t": 512, "n_z": 180}))
-    assert not rep.ok
-    assert any("n_z" in e and "n_z >= 185" in e for e in rep.errors)
-    assert validate_config(table1_config(numerics={"n_t": 512, "n_z": 200})).ok
+    with pytest.raises(ConfigError, match=r"numerics\.n_z = 180 .*need n_z >= 185"):
+        validate_config(table1_config(numerics={"n_t": 512, "n_z": 180}))
+    validate_config(table1_config(numerics={"n_t": 512, "n_z": 200}))
 
 
 def test_calibration_zero_and_linear():
