@@ -26,10 +26,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the failures main maps to an exit code: EXIT_CONFIG for BAD_INPUT,
-# EXIT_NUMERICAL for the rest; a sweep point that raises one becomes an
-# error row
-BAD_INPUT = (ConfigError, FileNotFoundError)
+# the failures main maps to an exit code: EXIT_CONFIG for BAD_INPUT, a bad
+# config or a path the file system refuses, EXIT_NUMERICAL for the rest; a
+# sweep point that raises one becomes an error row
+BAD_INPUT = (ConfigError, OSError)
 RUN_FAILURES = (*BAD_INPUT, PropagationError, ValueError)
 
 SWEEP_PARAMS = {
@@ -111,6 +111,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
+    if not np.isfinite([args.start, args.stop]).all():
+        raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
     cfg = load_config(args.config)
     values = np.linspace(args.start, args.stop, args.steps)
     payloads = [(k, cfg, args.param, float(v)) for k, v in enumerate(values)]

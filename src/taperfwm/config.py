@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,19 +158,12 @@ class SourceConfig:
 
         Usage: cfg.replace(pump={"tau": 1e-12}, numerics={"n_t": 256}).
         """
-        parts = {}
-        for name in ("pump", "geometry", "dispersion", "mismatch", "numerics"):
-            cur = getattr(self, name)
-            upd = section_updates.pop(name, None)
-            if upd is None:
-                parts[name] = cur
-            elif isinstance(upd, dict):
-                parts[name] = dataclasses.replace(cur, **upd)
-            else:
-                parts[name] = upd
-        if section_updates:
-            raise TypeError(f"unknown sections: {sorted(section_updates)}")
-        return SourceConfig(**parts)
+        unknown = sorted(section_updates.keys() - _SECTION_TYPES)
+        if unknown:
+            raise TypeError(f"unknown sections: {unknown}")
+        return dataclasses.replace(self, **{
+            name: dataclasses.replace(getattr(self, name), **upd) if isinstance(upd, dict) else upd
+            for name, upd in section_updates.items()})
 
     def grid(self) -> Grid:
         return Grid.from_numerics(self.numerics)
@@ -356,13 +350,8 @@ def table1_config(**section_updates) -> SourceConfig:
     return cfg
 
 
-_SECTION_TYPES = {
-    "pump": PumpSpec,
-    "geometry": GeometrySpec,
-    "dispersion": DispersionSet,
-    "mismatch": MismatchModel,
-    "numerics": NumericsSpec,
-}
+# section name -> section class: each field's default_factory is its class
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(SourceConfig)}
 
 
 class ConfigError(ValueError):
@@ -374,17 +363,17 @@ class ConfigWarning(UserWarning):
 
 
 def _is_number(value) -> bool:
-    """An int or a finite float: JSON (RFC 8259) has no NaN or Infinity,
-    and no field takes one (dispersion is switched off by its flag)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or a float within the float range: JSON (RFC 8259) has no NaN
+    or Infinity, and no field takes one (dispersion is switched off by its
+    flag) or an integer that no float can hold."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # what a config document may give for a field, by the field's annotation
 _FIELD_KINDS = {
     "float": ("a finite number", _is_number),
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "int": ("an integer within the float range", lambda v: isinstance(v, int) and _is_number(v)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "tuple": ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
               and all(map(_is_number, v))),
@@ -435,10 +424,12 @@ def config_to_dict(cfg: SourceConfig) -> dict:
 def load_config(path) -> SourceConfig:
     """Parse, expand defaults and validate a JSON configuration file; each
     validation warning is emitted as a ConfigWarning."""
-    with open(path) as fh:
+    # RFC 8259 JSON is UTF-8; a ValueError is bad JSON, bad UTF-8 or an
+    # integer literal past Python's digit limit
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     cfg = config_from_dict(doc)
     try:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import C_LIGHT, ConfigError, SourceConfig, tau_max_of
 from .jta import JointAmplitude
-from .metrics import arrival_times, marginals
+from .metrics import arrival_times
 from .spectral import omega_axis
 from .pumps import trace_key
 from .simulate import WorkerPool, run_source
@@ -80,12 +80,11 @@ _PAIR_WRAP_TOL = 1e-4
 
 
 def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwhm: float,
-                     wrap_tol: float = _PAIR_WRAP_TOL, margs=None) -> JointAmplitude:
+                     wrap_tol: float = _PAIR_WRAP_TOL) -> JointAmplitude:
     """phi(T_s + shift_s/T0, T_i + shift_i/T0) via an exact spectral phase ramp.
 
     Shifts that would push more than a wrap_tol norm fraction across the
-    periodic window boundary are rejected.  margs, the intensity marginals
-    of phi when the caller holds them, spare their reduction.
+    periodic window boundary are rejected.
     """
     if phi.domain != "time":
         raise ValueError("apply_time_shift expects a time-domain amplitude")
@@ -95,7 +94,7 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     if a_s == 0.0 and a_i == 0.0:
         return JointAmplitude(values=phi.values.copy(), domain="time", grid=g,
                               z=phi.z, norm_sq=phi.norm_sq)
-    marg_s, marg_i = marginals(phi) if margs is None else margs
+    marg_s, marg_i = phi.marginals
     _check_wrap(marg_s, a_s, g.dt, wrap_tol)
     _check_wrap(marg_i, a_i, g.dt, wrap_tol)
     w = omega_axis(g.n, g.dt)
@@ -124,20 +123,16 @@ def _check_wrap(marg, a, dt, wrap_tol):
 
 
 def align_arrival_times(phi1: JointAmplitude, phi2: JointAmplitude, t0_fwhm: float,
-                        wrap_tol: float = _PAIR_WRAP_TOL, means=None, margs2=None):
+                        wrap_tol: float = _PAIR_WRAP_TOL):
     """Shift source 2 so its mean arrival times match source 1.
 
-    Returns (shifted phi2, shift_s, shift_i) with shifts in seconds.  means,
-    the mean arrival times of both sources, and margs2, the intensity
-    marginals of source 2, are the reductions this reads; a caller that
-    pairs one run many times passes them in.
+    Returns (shifted phi2, shift_s, shift_i) with shifts in seconds.
     """
-    if means is None:
-        means = (arrival_times(phi1, t0_fwhm)[0], arrival_times(phi2, t0_fwhm)[0])
-    (m1s, m1i), (m2s, m2i) = means
+    (m1s, m1i), _ = arrival_times(phi1, t0_fwhm)
+    (m2s, m2i), _ = arrival_times(phi2, t0_fwhm)
     shift_s = m2s - m1s
     shift_i = m2i - m1i
-    shifted = apply_time_shift(phi2, shift_s, shift_i, t0_fwhm, wrap_tol=wrap_tol, margs=margs2)
+    shifted = apply_time_shift(phi2, shift_s, shift_i, t0_fwhm, wrap_tol=wrap_tol)
     return shifted, shift_s, shift_i
 
 
@@ -183,10 +178,9 @@ def _fill(workers: WorkerPool, runs: dict, cfgs):
 _VISIBILITIES = {"rhom": rhom_visibility, "hhom": hhom_visibility}
 
 
-def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom"), means=None, margs2=None):
-    """The visibilities named in kinds, after arrival-time alignment (means
-    and margs2 as in align_arrival_times)."""
-    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm, means=means, margs2=margs2)
+def _pair_visibilities(phi1, phi2, t0_fwhm, kinds=("rhom", "hhom")):
+    """The visibilities named in kinds, after arrival-time alignment."""
+    phi2_shifted, ds, di = align_arrival_times(phi1, phi2, t0_fwhm)
     vis = {kind: _VISIBILITIES[kind](phi1, phi2_shifted) for kind in kinds}
     return vis, ds, di
 
@@ -338,8 +332,7 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
     def at(k, i):
         return cfgs[k].replace(pump={"tau": tau(k, i)})
 
-    # per source, lattice index -> (JTA, mean arrival times, marginals of a
-    # source-2 run): each run is reduced once, when the search takes it
+    # per source, lattice index -> JTA
     taken = ({}, {})
     scores = {}
     start = {k * n // (_START_POINTS - 1) for k in range(_START_POINTS)} | {mid}
@@ -348,16 +341,13 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
         while any(new):
             _fill(workers, runs, [at(k, i) for k in (0, 1) for i in sorted(new[k])])
             for k in (0, 1):
-                for i in sorted(new[k]):
-                    phi = runs[at(k, i)]
-                    taken[k][i] = (phi, arrival_times(phi, t0)[0], marginals(phi) if k else None)
+                taken[k].update((i, runs[at(k, i)]) for i in new[k])
             for i, j in sorted((i, j) for i in taken[0] for j in taken[1]):
                 if (i, j) in scores:
                     continue
-                (phi1, m1, _), (phi2, m2, margs2) = taken[0][i], taken[1][j]
                 try:
-                    v = _pair_visibilities(phi1, phi2, t0, kinds=(objective,), means=(m1, m2),
-                                           margs2=margs2)[0][objective]
+                    v = _pair_visibilities(taken[0][i], taken[1][j], t0,
+                                           kinds=(objective,))[0][objective]
                 except ValueError:
                     # alignment shift would wrap around the window: the
                     # candidate is outside the usable delay range
@@ -374,8 +364,6 @@ def optimize_delays(cfg1: SourceConfig, cfg2: SourceConfig, objective: str = "rh
                 break
             new = _next_runs(scores, [set(taken[0]), set(taken[1])], best, n)
 
-    # the reductions are those _study makes again, so its objective is the
-    # winning candidate's own float
     return _study(at(0, best[0]), at(1, best[1]), runs, optimal_tau1=tau(0, best[0]),
                   optimal_tau2=tau(1, best[1]),
                   candidates=[(tau(0, i), tau(1, j), v) for (i, j), v in scores.items()],

@@ -56,6 +56,17 @@ class JointAmplitude:
     def integrate_norm(self) -> float:
         return sum_abs2(self.values) * self.cell_measure()
 
+    @cached_property
+    def marginals(self):
+        """The Signal and Idler intensity marginals, sum |phi|^2 over the
+        other axis, in the amplitude's own domain: formed on first access
+        and kept.  Nothing writes to values in place after that (evolve_jta
+        wraps its state only after the last step); a write would leave the
+        kept marginals stale."""
+        inten = np.abs(self.values)
+        inten *= inten
+        return inten.sum(axis=1), inten.sum(axis=0)
+
 
 def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
     """Unitary two-dimensional transform to the dual frequency grid.

@@ -44,20 +44,12 @@ def heralded_purity(phi: JointAmplitude) -> float:
     return gram_sq / norm_sq**2
 
 
-def marginals(phi: JointAmplitude):
-    """The Signal and Idler intensity marginals, sum |phi|^2 over the other
-    axis, in the amplitude's own domain."""
-    inten = np.abs(phi.values)
-    inten *= inten
-    return inten.sum(axis=1), inten.sum(axis=0)
-
-
 def mean_shift(jsa: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     """Mean wavelength shift of each photon about its reference wavelength,
     from a JSA."""
     if jsa.domain != "frequency":
         raise ValueError("mean_shift expects a frequency-domain amplitude")
-    ms, mi = marginals(jsa)
+    ms, mi = jsa.marginals
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("mean shift undefined for a zero amplitude")
@@ -75,7 +67,7 @@ def arrival_times(phi: JointAmplitude, t0_fwhm: float):
     common pump-1 moving frame."""
     if phi.domain != "time":
         raise ValueError("arrival_times expects a time-domain amplitude")
-    ms, mi = marginals(phi)
+    ms, mi = phi.marginals
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("arrival times undefined for a zero amplitude")
@@ -99,7 +91,7 @@ def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
 def _idler_spectrum(jsa: JointAmplitude):
     if jsa.domain != "frequency":
         raise ValueError("spectral_cumulative expects frequency-domain amplitudes")
-    return jsa.z, jsa.grid, marginals(jsa)[1] * jsa.grid.dw
+    return jsa.z, jsa.grid, jsa.marginals[1] * jsa.grid.dw
 
 
 def spectral_cumulative(snapshots):

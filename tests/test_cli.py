@@ -387,6 +387,11 @@ BAD_INPUTS = {
     "top-level-string": ("simulate", "x", []),
     "section-null": ("simulate", {"pump": None}, []),
     "defaults-null": ("simulate", {"defaults": None, "numerics": FAST}, []),
+    "avg_power-past-float-range": ("simulate", {"defaults": "table1", "numerics": FAST,
+                                                "pump": {"avg_power": 10**400}}, []),
+    "n_t-past-float-range": ("simulate", {"numerics": {"n_t": 2**1100}}, []),
+    "sweep-from-nan": ("sweep", _fast_doc(), ["--steps", "2", "--from", "nan"]),
+    "sweep-to-inf": ("sweep", _fast_doc(), ["--steps", "2", "--to", "inf"]),
 }
 
 
@@ -408,6 +413,29 @@ def test_bad_input_exits_2_before_any_run(tmp_path, capsys, command, doc, extra)
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf-8",
+                                  "integer-past-the-digit-limit", "output-is-a-file"])
+def test_bad_file_exits_2(cfg_path, tmp_path, capsys, case):
+    # bad inputs that BAD_INPUTS, a json.dumps document at a fresh path,
+    # cannot express: each exits 2 like a bad value, and makes no output
+    cfg, out = cfg_path, tmp_path / "out"
+    if case == "config-is-a-directory":
+        cfg = tmp_path
+    elif case == "config-not-utf-8":
+        cfg = tmp_path / "latin-1.json"
+        cfg.write_bytes('{"defaults": "table1", "note": "\u00e9"}'.encode("latin-1"))
+    elif case == "integer-past-the-digit-limit":
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"pump": {"avg_power": 1' + "0" * 5000 + "}}")
+    else:
+        out.write_text("")
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+    assert "Traceback" not in err
+    assert out.is_file() if case == "output-is-a-file" else not out.exists()
 
 
 def _window_cfg_path(tmp_path, t_window):

@@ -11,6 +11,7 @@ from taperfwm.config import (
     ConfigWarning,
     Grid,
     NumericsSpec,
+    _is_number,
     dbcm_to_per_m,
     derive_run_params,
     load_config,
@@ -230,3 +231,9 @@ def test_load_config_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(p)
+
+
+def test_an_integer_past_the_float_range_is_no_number():
+    # JSON integers are unbounded; a field value must still convert to a float
+    assert _is_number(10**300)
+    assert not _is_number(10**400)

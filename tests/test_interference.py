@@ -2,6 +2,7 @@
 
 import multiprocessing
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -335,6 +336,28 @@ def test_no_source_tau_is_simulated_twice(monkeypatch):
     optimize_delays(MOVING_PAIR, cfg2, runs=store)
     assert len(runs) == len(set(runs))
     assert len(runs) == len(store)
+
+
+def test_each_amplitude_is_reduced_once(monkeypatch, fast_cfg):
+    # a raw pair and the optimizer that reuses its runs form the marginals
+    # of each stored run, and of any shifted copy, at most once
+    _serial(monkeypatch)
+    reduced = []  # holds every reduced amplitude, so that no id is reused
+    prop = JointAmplitude.__dict__["marginals"]
+    real = prop.func
+
+    def counted(phi):
+        reduced.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(prop, "func", counted)
+    cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})
+    store = {}
+    evaluate_pair(fast_cfg, cfg2, store)
+    optimize_delays(fast_cfg, cfg2, runs=store)
+    counts = Counter(map(id, reduced))
+    assert max(counts.values()) == 1
+    assert {id(phi) for phi in store.values()} <= counts.keys()
 
 
 @pytest.mark.parametrize("short_first", [False, True])
