@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -46,12 +47,9 @@ def _with_param(cfg: SourceConfig, param: str, value: float) -> SourceConfig:
     return cfg.replace(**{section: {key: value}})
 
 
-def _dump_matrices(writer: io.ArtifactWriter, stem: str, jta: JointAmplitude | None,
-                   jsa: JointAmplitude | None):
-    """<stem>_jta.cjm1 and <stem>_jsa.cjm1, for each amplitude given."""
-    for phi, kind in ((jta, "jta"), (jsa, "jsa")):
-        if phi is not None:
-            writer.add(io.write_cjm1(phi, writer.path(f"{stem}_{kind}.cjm1")))
+def _dump(writer: io.ArtifactWriter, name: str, phi: JointAmplitude):
+    """<name>.cjm1 and its sidecar."""
+    writer.add(io.write_cjm1(phi, writer.path(f"{name}.cjm1")))
 
 
 def _dump_pumps(writer: io.ArtifactWriter, trace):
@@ -62,13 +60,13 @@ def _dump_pumps(writer: io.ArtifactWriter, trace):
                                           writer.path(f"pumps_z{k:05d}.csv")))
 
 
-def _snapshot_jsas(writer: io.ArtifactWriter, result, dump_jta: bool, dump_jsa: bool):
+def _snapshot_jsas(writer: io.ArtifactWriter, snapshots: list, final_jsa: JointAmplitude,
+                   dump_jsa: bool):
     """Each snapshot's JSA, dumped as asked and released before the next is
-    built; the last snapshot is the final state, whose JSA the run holds."""
-    for k, snap in enumerate(result.snapshots):
-        jsa = result.jsa if snap is result.jta else jta_to_jsa(snap)
-        _dump_matrices(writer, f"snapshot_{k:03d}", snap if dump_jta else None,
-                       jsa if dump_jsa else None)
+    built; the last snapshot is the final state, whose JSA is final_jsa."""
+    for k, jsa in enumerate(chain(map(jta_to_jsa, snapshots[:-1]), [final_jsa])):
+        if dump_jsa:
+            _dump(writer, f"snapshot_{k:03d}_jsa", jsa)
         yield jsa
         del jsa
 
@@ -85,12 +83,20 @@ def cmd_simulate(args) -> int:
     writer.add(io.write_metrics_json(out.metrics, writer.path("metrics.json")))
     writer.add(io.write_xi_profile_csv(out.result.xi_profile, cfg.geometry.length,
                                        writer.path("xi_profile.csv")))
-    # the final JSA is the one the metrics built
-    _dump_matrices(writer, "final", out.result.jta if args.dump_jta else None,
-                   out.result.jsa if args.dump_jsa else None)
-    if args.snapshots:
-        zs, w_axis, spec = spectral_cumulative(
-            _snapshot_jsas(writer, out.result, args.dump_jta, args.dump_jsa))
+    final, snapshots = out.result.jta, out.result.snapshots
+    if args.dump_jta:
+        _dump(writer, "final_jta", final)
+        for k, snap in enumerate(snapshots):
+            _dump(writer, f"snapshot_{k:03d}_jta", snap)
+    if args.dump_jsa or snapshots:
+        # the metrics and the dumps above were the final JTA's last readers:
+        # its buffer takes the final JSA
+        jsa = jta_to_jsa(final, out=final.values)
+        if args.dump_jsa:
+            _dump(writer, "final_jsa", jsa)
+    if snapshots:
+        zs, w_axis, spec = spectral_cumulative(_snapshot_jsas(writer, snapshots, jsa,
+                                                              args.dump_jsa))
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
     writer.finish()

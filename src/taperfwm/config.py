@@ -293,6 +293,14 @@ def validate_config(cfg: SourceConfig) -> list:
                 )
 
     if not errors:
+        # finite inputs can still overflow: avg_power / rep_rate / t_eff
+        rp = derive_run_params(cfg)
+        for name in ("p_peak_1", "p_peak_2"):
+            if not math.isfinite(getattr(rp, name)):
+                errors.append(f"derived peak power {name} = {getattr(rp, name)} W is not finite "
+                              "(pump.avg_power / pump.rep_rate over the pulse width)")
+
+    if not errors:
         tmax = tau_max_of(cfg)
         if not 0.0 <= p.tau <= tmax * (1.0 + 1e-12):
             errors.append(

@@ -151,8 +151,9 @@ def write_json(doc: dict, path) -> Path:
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        # in blocks, so a matrix dump is never held whole
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        # in 64 KiB blocks, so a matrix dump is never held whole and the
+        # block adds little to the run's peak memory
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 

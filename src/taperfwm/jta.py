@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, Grid, SourceConfig, derive_run_params
 from .mismatch import mismatch_phase
-from .pumps import PropagationError, PumpTrace
+from .pumps import PropagationError, PumpTrace, midpoints
 from .spectral import linear_exponents
 
 
@@ -27,6 +27,24 @@ def sum_abs2(a: np.ndarray) -> float:
     no temporary of the matrix's size and no BLAS call."""
     return float(np.sum(np.einsum("ij,ij->i", a.real, a.real)
                         + np.einsum("ij,ij->i", a.imag, a.imag)))
+
+
+# the blocks in which a matrix is reduced or multiplied, so that no
+# temporary of its size is formed
+BLOCKS = 8
+
+
+def abs2_sums(a: np.ndarray):
+    """The row sums and the column sums of |a|^2 of a complex matrix,
+    formed by blocks of rows (see BLOCKS)."""
+    step = -(-a.shape[0] // BLOCKS)
+    rows, cols = np.empty(a.shape[0]), np.zeros(a.shape[1])
+    for j in range(0, a.shape[0], step):
+        inten = np.abs(a[j:j + step])
+        inten *= inten
+        rows[j:j + step] = inten.sum(axis=1)
+        cols += inten.sum(axis=0)
+    return rows, cols
 
 
 @dataclass
@@ -60,23 +78,23 @@ class JointAmplitude:
     def marginals(self):
         """The Signal and Idler intensity marginals, sum |phi|^2 over the
         other axis, in the amplitude's own domain: formed on first access
-        and kept.  Nothing writes to values in place after that (evolve_jta
-        wraps its state only after the last step); a write would leave the
-        kept marginals stale."""
-        inten = np.abs(self.values)
-        inten *= inten
-        return inten.sum(axis=1), inten.sum(axis=0)
+        and kept, by blocks of rows (see abs2_sums).  Nothing writes to
+        values in place after that (evolve_jta wraps its state only after
+        the last step); a write would leave the kept marginals stale."""
+        return abs2_sums(self.values)
 
 
-def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
+def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> JointAmplitude:
     """Unitary two-dimensional transform to the dual frequency grid.
 
     The result is aligned with the sorted grid.w_axis on both axes and
     preserves the physical norm exactly.  Each axis takes two factors: the
     sign (-1)^k on the time samples, which for even n turns the ifft of a
     row into its fftshifted ifft, and the phase and scale of the grid's
-    time origin at each sorted frequency.  The transform fills one new
-    buffer and works on it in place.
+    time origin at each sorted frequency.  The transform fills out, a
+    complex n x n buffer, or a new one, and works on it in place.  out may
+    be phi.values itself, which then holds the JSA: only the owner of phi
+    may pass it, after the JTA's last reader.
     """
     if phi.domain != "time":
         raise ValueError("jta_to_jsa expects a time-domain amplitude")
@@ -85,7 +103,7 @@ def jta_to_jsa(phi: JointAmplitude) -> JointAmplitude:
         raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
     sign = np.resize([1.0, -1.0], g.n)
     factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * g.w_axis * g.t_axis[0])
-    spec = np.multiply(phi.values, sign[:, None], dtype=complex)
+    spec = np.multiply(phi.values, sign[:, None], out=out, dtype=complex)
     spec *= sign[None, :]
     np.fft.ifftn(spec, axes=(0, 1), out=spec)
     spec *= factor[:, None]
@@ -108,8 +126,10 @@ class SimulationResult:
 
     @cached_property
     def jsa(self) -> JointAmplitude:
-        """The final JSA, built on first access and kept, so that the
-        metrics and the JSA dump share one."""
+        """The final JSA in a new buffer, built on first access and kept.
+        No step of a run reads it: the metrics take the spectral means from
+        1-D transforms of the JTA, and simulate builds its final JSA in the
+        final state's own buffer."""
         return jta_to_jsa(self.jta)
 
 
@@ -127,11 +147,14 @@ def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
 def step_drives(cfg: SourceConfig, pump_trace: PumpTrace):
     """Each z-step's drive, in step order: the pump midpoints a1, a2 and the
     source diagonal, with the net mismatch phase Theta taken at the step
-    midpoint."""
+    midpoint.  The midpoints come from pumps.midpoints: the stored ones of a
+    shared trace, or, on a trace of pumps.pump_plan, the pumps stepped as
+    each drive is drawn, so that drawing past the last drive checks the
+    pumps' energy law at z = L."""
     theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
     gamma_fwm, dt = cfg.dispersion.gamma_p1p2si, pump_trace.grid.dt
-    for a1, a2, theta in zip(pump_trace.mid[0], pump_trace.mid[1], theta_mid):
-        yield a1, a2, _source_diag(a1, a2, gamma_fwm, theta, dt)
+    for k, (a1, a2) in enumerate(midpoints(cfg, pump_trace)):
+        yield a1, a2, _source_diag(a1, a2, gamma_fwm, theta_mid[k], dt)
 
 
 def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
@@ -170,7 +193,9 @@ def evolve_jta(
     pump_trace: PumpTrace,
     snapshots: int = 0,
 ) -> SimulationResult:
-    """Integrate the driven JTA equation in lockstep with the pump trace.
+    """Integrate the driven JTA equation in lockstep with the pumps of
+    pump_trace, stored or stepped as each step's drive is drawn (see
+    step_drives).
 
     Each step is a symmetrized split step: a linear half-step in the
     frequency domain, the signal/idler XPM phase and the source injection
@@ -317,29 +342,3 @@ def evolve_jta(
         )
     profile = XiProfile(z_nodes=pump_trace.z_nodes.copy(), xi=xi)
     return SimulationResult(jta=final, xi_profile=profile, snapshots=snaps)
-
-
-def perturbative_oracle(cfg: SourceConfig, pump_trace: PumpTrace) -> JointAmplitude:
-    """Direct quadrature of the driven equation at first order.
-
-    Each step's diagonal source is propagated linearly (see
-    spectral.linear_exponents) straight to z = L and accumulated in the
-    frequency domain.  Only valid with the nonlinear phases disabled.
-    """
-    if cfg.numerics.xpm_spm_enabled:
-        raise ValueError("perturbative oracle requires xpm_spm_enabled = False")
-    grid = pump_trace.grid
-    n, h = grid.n, pump_trace.h
-    L = float(pump_trace.z_nodes[-1])
-    rest = L - pump_trace.z_mid  # from each step's source to z = L
-
-    ls, li = linear_exponents(cfg, grid, ("s", "i"))
-
-    idx = np.arange(n)
-    ridge_idx = (idx[:, None] + idx[None, :]) % n
-    acc = np.zeros((n, n), complex)
-    for k, (_, _, diag) in enumerate(step_drives(cfg, pump_trace)):
-        g = np.fft.ifft(diag) / n
-        acc += h * np.exp(ls * rest[k])[:, None] * np.exp(li * rest[k])[None, :] * g[ridge_idx]
-
-    return JointAmplitude(values=np.fft.fft2(acc), domain="time", grid=grid, z=L)

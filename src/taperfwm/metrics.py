@@ -7,7 +7,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import C_LIGHT, DispersionSet, SourceConfig
-from .jta import JointAmplitude, SimulationResult, sum_abs2
+from .jta import BLOCKS, JointAmplitude, SimulationResult, abs2_sums, sum_abs2
+from .spectral import omega_axis
 
 
 @dataclass
@@ -27,9 +28,6 @@ class MetricsReport:
         return asdict(self)
 
 
-_GRAM_BLOCKS = 8
-
-
 def heralded_purity(phi: JointAmplitude) -> float:
     """Sum of fourth powers of the normalized Schmidt values,
     Tr((A^H A)^2) / Tr(A^H A)^2 = |A^H A|_F^2 / |A|_F^4, with no SVD."""
@@ -39,21 +37,41 @@ def heralded_purity(phi: JointAmplitude) -> float:
         raise ValueError("purity undefined for a zero amplitude")
     # A^H A by blocks of rows, each from the conjugate of a block of
     # columns: neither A^H nor A^H A is held whole
-    step = -(-a.shape[1] // _GRAM_BLOCKS)
+    step = -(-a.shape[1] // BLOCKS)
     gram_sq = sum(sum_abs2(a[:, j:j + step].conj().T @ a) for j in range(0, a.shape[1], step))
     return gram_sq / norm_sq**2
 
 
-def mean_shift(jsa: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
+def _spectral_marginals(phi: JointAmplitude):
+    """The Signal and Idler marginals of a JTA's JSA, on the unshifted
+    frequency axis (spectral.omega_axis) and up to one constant factor,
+    with no n x n array: the 1-D transforms of blocks of columns, summed
+    over the Idler axis, and of blocks of rows, summed over the Signal axis.
+    The transform along the summed axis is unitary up to that factor, and
+    the time-origin phases drop out of |.|^2, so neither is taken."""
+    a = phi.values
+    n = a.shape[0]
+    step = -(-n // BLOCKS)
+    ms, mi = np.zeros(n), np.zeros(n)
+    for j in range(0, n, step):
+        ms += abs2_sums(np.fft.ifft(a[:, j:j + step], axis=0))[0]
+        mi += abs2_sums(np.fft.ifft(a[j:j + step], axis=1))[1]
+    return ms, mi
+
+
+def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     """Mean wavelength shift of each photon about its reference wavelength,
-    from a JSA."""
-    if jsa.domain != "frequency":
-        raise ValueError("mean_shift expects a frequency-domain amplitude")
-    ms, mi = jsa.marginals
+    from the marginals of a JSA: a JSA's own, or, for a JTA, those of its
+    JSA formed without the JSA (see _spectral_marginals); the constant
+    factor of the latter cancels in the means."""
+    g = phi.grid
+    if phi.domain == "frequency":
+        (ms, mi), w = phi.marginals, g.w_axis
+    else:
+        (ms, mi), w = _spectral_marginals(phi), omega_axis(g.n, g.dt)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("mean shift undefined for a zero amplitude")
-    w = jsa.grid.w_axis
     mean_ws = float(np.dot(w, ms) / tot_s)
     mean_wi = float(np.dot(w, mi) / tot_i)
     conv = 1.0 / (2.0 * np.pi * C_LIGHT * t0_fwhm)
@@ -113,18 +131,20 @@ def spectral_cumulative(snapshots):
 
 
 def compute_metrics(result: SimulationResult, cfg: SourceConfig) -> MetricsReport:
-    """The metrics of a run's final state.
+    """The metrics of a run's final state, read from the JTA alone, which
+    is left unchanged.
 
-    The purity and the arrival times are taken on the JTA, before
-    result.jsa, which the wavelength shifts read, is built; the JSA is the
-    JTA under a unitary map on each axis, so the purity is the same.
+    The JSA is the JTA under a unitary map on each axis, so the purity of
+    the JTA is that of the JSA; the wavelength shifts take the JSA's
+    marginals from 1-D transforms of blocks of the JTA (see mean_shift).
+    No array of the JTA's size is formed.
     """
     phi = result.jta
     t0 = cfg.pump.t0_fwhm
     d = cfg.dispersion
     purity = heralded_purity(phi)
     (mean_s, mean_i), (std_s, std_i) = arrival_times(phi, t0)
-    dlam_s, dlam_i = mean_shift(result.jsa, d, t0)
+    dlam_s, dlam_i = mean_shift(phi, d, t0)
     return MetricsReport(
         xi=phi.norm_sq,
         purity=purity,

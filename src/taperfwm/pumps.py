@@ -24,17 +24,19 @@ class PropagationError(RuntimeError):
 @dataclass
 class PumpTrace:
     """The z-step plan of a run: n_z steps of width h between the nodes
-    z_nodes, and the two pumps, stacked as the stepper steps them, at the
-    step midpoints z_mid (which the JTA stepper and the oracle read) and at
-    the end nodes z = 0 and z = L (which --dump-pumps writes).  The
-    interior nodes are not kept."""
+    z_nodes, with midpoints z_mid, and the two pumps, stacked as the stepper
+    steps them, at z = 0 and z = L (ends, which --dump-pumps writes) and at
+    the step midpoints (see midpoints).  propagate_pumps stores the
+    midpoints in mid, for runs that share or dump the trace; a trace of
+    pump_plan stores none (mid is None), and its z = L row of ends is
+    filled when the last step is taken.  The interior nodes are not kept."""
 
     grid: Grid
     h: float
     z_nodes: np.ndarray          # (n_z + 1,)
     z_mid: np.ndarray            # (n_z,)
-    mid: np.ndarray              # (2, n_z, n_t): (pump, step, T)
     ends: np.ndarray             # (2, 2, n_t): (pump, z = 0 | z = L, T)
+    mid: np.ndarray | None       # (2, n_z, n_t): (pump, step, T), or None
 
     @property
     def n_z(self):
@@ -82,53 +84,67 @@ def _check_energy(cfg: SourceConfig, launch: np.ndarray, end: np.ndarray):
         )
 
 
-def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
-    """Integrate the two coupled pump equations over [0, L] from initial_envelopes.
-
-    Internally steps at h/2 so that both the z nodes and the step midpoints
-    hold physical envelopes; the trace keeps the midpoints and the two end
-    nodes.  Both pumps are stepped together as one (2, n_t) array, with
-    three transforms per sub-step, and the SPM/XPM phases are one 2x2 gamma
-    matrix acting on (|a1|^2, |a2|^2).  Every node must be finite, and the
-    end energies must follow the loss (see _check_energy).
-    """
-    grid = cfg.grid()
-    d, num = cfg.dispersion, cfg.numerics
-
-    n_z = num.n_z
-    L = cfg.geometry.length
+def pump_plan(cfg: SourceConfig) -> PumpTrace:
+    """The z-step plan of cfg with its launch envelopes and no stored
+    midpoints, which midpoints then steps as they are drawn."""
+    n_z, L = cfg.numerics.n_z, cfg.geometry.length
     h = L / n_z
-    hs = h / 2.0  # internal sub-step
+    z_nodes = np.linspace(0.0, L, n_z + 1)
+    a = initial_envelopes(cfg)
+    return PumpTrace(grid=cfg.grid(), h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
+                     ends=np.stack([a, np.zeros_like(a)], axis=1), mid=None)
+
+
+def midpoints(cfg: SourceConfig, trace: PumpTrace):
+    """Each step's two pump midpoints, as one (2, n_t) array, in step order:
+    the stored rows of trace.mid or, on a trace without them, the pumps
+    stepped as each is drawn, by the one pump-stepping loop.
+
+    The loop integrates the two coupled pump equations over [0, L] at h/2,
+    so that both the z nodes and the step midpoints hold physical
+    envelopes.  Both pumps are stepped together, with three transforms per
+    sub-step, and the SPM/XPM phases are one 2x2 gamma matrix acting on
+    (|a1|^2, |a2|^2).  Every sub-step must be finite before it is yielded
+    or stepped on, and the z = L envelopes, which go into trace.ends, must
+    follow the loss (see _check_energy).
+    """
+    if trace.mid is not None:
+        yield from trace.mid.swapaxes(0, 1)
+        return
+    d, num = cfg.dispersion, cfg.numerics
+    hs = trace.h / 2.0  # internal sub-step
 
     # z-independent part of the linear operators (frequency domain)
-    half = np.exp(linear_exponents(cfg, grid, ("p1", "p2")) * hs / 2.0)
+    half = np.exp(linear_exponents(cfg, trace.grid, ("p1", "p2")) * hs / 2.0)
     gamma = hs * np.array([[d.gamma_1111, 2.0 * d.gamma_1122],
                            [2.0 * d.gamma_2211, d.gamma_2222]])
     nl_on = num.xpm_spm_enabled
 
-    a = initial_envelopes(cfg)
-    mids = np.empty((2, n_z, num.n_t), complex)
-    ends = np.empty((2, 2, num.n_t), complex)  # (pump, z = 0 | z = L, T)
-    ends[:, 0] = a
-
     # the spectrum of a sub-step's end is carried into the next sub-step
-    # instead of transforming the stored envelope back
+    # instead of transforming the envelope back
     fft, ifft = np.fft.fft, np.fft.ifft
-    spec = ifft(a)
-    for k in range(2 * n_z):
+    spec = ifft(trace.ends[:, 0])
+    for k in range(2 * trace.n_z):
         a = fft(half * spec)
         if nl_on:
             a *= np.exp(1j * (gamma @ (np.abs(a) ** 2)))
         spec = half * ifft(a)
         a = fft(spec)
 
+        if not np.all(np.isfinite(a)):
+            raise PropagationError(f"pump propagation diverged at step {k // 2 + 1}")
         if k % 2 == 0:
-            mids[:, k // 2] = a
-        elif not np.all(np.isfinite(a)):
-            raise PropagationError(f"pump propagation diverged at step {(k + 1) // 2}")
-    ends[:, 1] = a
-    _check_energy(cfg, ends[:, 0], ends[:, 1])
+            yield a
+    trace.ends[:, 1] = a
+    _check_energy(cfg, trace.ends[:, 0], trace.ends[:, 1])
 
-    z_nodes = np.linspace(0.0, L, n_z + 1)
-    return PumpTrace(grid=grid, h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
-                     mid=mids, ends=ends)
+
+def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
+    """The plan of cfg (see pump_plan) with every step's midpoints stored in
+    mid, for runs that share the trace or dump it."""
+    trace = pump_plan(cfg)
+    mid = np.empty((2, trace.n_z, trace.grid.n), complex)
+    for k, a in enumerate(midpoints(cfg, trace)):
+        mid[:, k] = a
+    trace.mid = mid
+    return trace

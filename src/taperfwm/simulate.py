@@ -9,7 +9,7 @@ from functools import cached_property
 from .config import SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta, worker_count
 from .metrics import MetricsReport, compute_metrics
-from .pumps import PumpTrace, propagate_pumps
+from .pumps import PumpTrace, propagate_pumps, pump_plan
 
 
 @dataclass
@@ -49,12 +49,15 @@ def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int 
     """Validate, propagate the pumps and evolve the JTA, storing `snapshots`
     evenly spaced states; the metrics follow on first access.
 
-    pump_trace, the trace of a run whose pumps.trace_key equals this
-    configuration's, replaces the pump propagation: the trace depends on
-    nothing else, so the run is bitwise the same."""
+    A run whose trace no other run shares steps the pumps inside the JTA
+    loop and stores none of their midpoints.  keep_pump_trace stores them
+    (propagate_pumps) and returns the trace, for a caller that shares it
+    or dumps it.  pump_trace, the trace of a run whose pumps.trace_key
+    equals this configuration's, replaces the pump propagation: the trace
+    depends on nothing else, so the run is bitwise the same."""
     validate_config(cfg)
     trace = pump_trace
     if trace is None:
-        trace = propagate_pumps(cfg)
+        trace = propagate_pumps(cfg) if keep_pump_trace else pump_plan(cfg)
     result = evolve_jta(cfg, trace, snapshots=snapshots)
     return RunOutput(cfg=cfg, pump_trace=trace if keep_pump_trace else None, result=result)

@@ -1,6 +1,6 @@
 """Naive per-field reference steppers for the pump SSFM and the JTA, the
-JTA stepper on whole-array transforms, the source term by direct spectral
-convolution, the JTA<->JSA transform pair by the textbook route, and the
+JTA stepper on whole-array transforms, the first-order perturbative oracle,
+the source term by direct spectral convolution, the JTA<->JSA transform pair by the textbook route, and the
 closed-form moving pumps and collision-point arrival times.
 
 The two per-field steppers split the net mismatch phase among the four
@@ -15,7 +15,7 @@ production steppers return, having put the whole mismatch on the source.
 import numpy as np
 
 from taperfwm.config import derive_run_params
-from taperfwm.jta import snapshot_nodes, step_drives
+from taperfwm.jta import JointAmplitude, snapshot_nodes, step_drives
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes
 from taperfwm.spectral import linear_exponents, omega_axis
@@ -146,6 +146,32 @@ def analytic_arrival_times(cfg):
     t_s = (d.l_w_p * tau - t0 * L) / abs(d.l_w_s)
     t_i = -(d.l_w_p * tau - t0 * L) / abs(d.l_w_i)
     return t_s, t_i
+
+
+def perturbative_oracle(cfg, pump_trace):
+    """Direct quadrature of the driven equation at first order.
+
+    Each step's diagonal source is propagated linearly (see
+    spectral.linear_exponents) straight to z = L and accumulated in the
+    frequency domain.  Only valid with the nonlinear phases disabled.
+    """
+    if cfg.numerics.xpm_spm_enabled:
+        raise ValueError("perturbative oracle requires xpm_spm_enabled = False")
+    grid = pump_trace.grid
+    n, h = grid.n, pump_trace.h
+    L = float(pump_trace.z_nodes[-1])
+    rest = L - pump_trace.z_mid  # from each step's source to z = L
+
+    ls, li = linear_exponents(cfg, grid, ("s", "i"))
+
+    idx = np.arange(n)
+    ridge_idx = (idx[:, None] + idx[None, :]) % n
+    acc = np.zeros((n, n), complex)
+    for k, (_, _, diag) in enumerate(step_drives(cfg, pump_trace)):
+        g = np.fft.ifft(diag) / n
+        acc += h * np.exp(ls * rest[k])[:, None] * np.exp(li * rest[k])[None, :] * g[ridge_idx]
+
+    return JointAmplitude(values=np.fft.fft2(acc), domain="time", grid=grid, z=L)
 
 
 def global_phase(cfg, weights):

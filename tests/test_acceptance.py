@@ -25,13 +25,13 @@ from taperfwm.interference import (
     hhom_visibility,
     optimize_delays,
 )
-from taperfwm.jta import (JointAmplitude, _source_diag, evolve_jta, jta_to_jsa,
-                          perturbative_oracle, step_drives)
+from taperfwm.jta import JointAmplitude, _source_diag, evolve_jta, jta_to_jsa, step_drives
 from taperfwm.metrics import heralded_purity
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes, propagate_pumps
 
-from _reference import analytic_arrival_times, global_phase, reference_jta, spectral_source
+from _reference import (analytic_arrival_times, global_phase, perturbative_oracle, reference_jta,
+                        spectral_source)
 
 pytestmark = pytest.mark.acceptance
 

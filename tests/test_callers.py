@@ -10,11 +10,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "taperfwm"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# kept with callers in the tests alone: the JTA stepper is checked against
-# the first-order oracle, criterion 10 asserts the paper's delay-line
-# figures through delay_line_requirements, and read_cjm1 is the cjm1
-# format's own reader, through which the tests read every dump back
-NO_CALLER_NEEDED = {"perturbative_oracle", "delay_line_requirements", "read_cjm1"}
+# kept with callers in the tests alone: criterion 10 asserts the paper's
+# delay-line figures through delay_line_requirements, and read_cjm1 is the
+# cjm1 format's own reader, through which the tests read every dump back
+NO_CALLER_NEEDED = {"delay_line_requirements", "read_cjm1"}
 
 # dataclasses whose fields need no reader of their own: the five config
 # sections are the config schema, whose fields are read by name (spectral

@@ -76,9 +76,9 @@ def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
     built = []
     real_jta_to_jsa = jta.jta_to_jsa
 
-    def counted(phi):
+    def counted(phi, **kw):
         built.append(phi.z)
-        return real_jta_to_jsa(phi)
+        return real_jta_to_jsa(phi, **kw)
 
     for module in (cli, jta):
         monkeypatch.setattr(module, "jta_to_jsa", counted)
@@ -86,7 +86,7 @@ def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
     assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-jsa",
                  "--snapshots", "4"]) == 0
     # four distinct states; the last snapshot is the final state, whose JSA
-    # the metrics built
+    # is built once, for both of its dumps
     assert len(built) == len(set(built)) == 4
     assert len(list(out.glob("snapshot_*_jsa.cjm1"))) == 4
     assert (out / "snapshot_003_jsa.cjm1").read_bytes() == (out / "final_jsa.cjm1").read_bytes()
@@ -390,6 +390,10 @@ BAD_INPUTS = {
     "avg_power-past-float-range": ("simulate", {"defaults": "table1", "numerics": FAST,
                                                 "pump": {"avg_power": 10**400}}, []),
     "n_t-past-float-range": ("simulate", {"numerics": {"n_t": 2**1100}}, []),
+    "peak-power-overflow-avg_power": ("simulate", {"defaults": "table1", "numerics": FAST,
+                                                   "pump": {"avg_power": 1e308}}, []),
+    "peak-power-overflow-rep_rate": ("simulate", {"defaults": "table1", "numerics": FAST,
+                                                  "pump": {"rep_rate": 5e-324}}, []),
     "sweep-from-nan": ("sweep", _fast_doc(), ["--steps", "2", "--from", "nan"]),
     "sweep-to-inf": ("sweep", _fast_doc(), ["--steps", "2", "--to", "inf"]),
 }
@@ -413,6 +417,19 @@ def test_bad_input_exits_2_before_any_run(tmp_path, capsys, command, doc, extra)
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pump", [{"avg_power": 1e308}, {"rep_rate": 5e-324}])
+def test_overflowing_peak_power_is_one_config_error(tmp_path, capsys, pump):
+    # finite inputs whose peak power overflows: refused before the pumps
+    # run, so that no numerical warning precedes the one error line
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"defaults": "table1", "numerics": FAST, "pump": pump}))
+    assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "p_peak_1 = inf" in err[0] and "p_peak_2 = inf" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf-8",

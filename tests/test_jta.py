@@ -11,12 +11,13 @@ import pytest
 from taperfwm import jta, run_source, simulate, table1_config
 from taperfwm.config import derive_run_params
 from taperfwm.interference import evaluate_pair
-from taperfwm.jta import _source_diag, evolve_jta, jta_to_jsa, perturbative_oracle, step_drives
+from taperfwm.jta import _source_diag, evolve_jta, jta_to_jsa, step_drives
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.simulate import WorkerPool
 
-from _reference import fftn_stepper, global_phase, reference_jta, spectral_source
+from _reference import (fftn_stepper, global_phase, perturbative_oracle, reference_jta,
+                        spectral_source)
 
 FAST = {"n_t": 64, "n_z": 100}
 

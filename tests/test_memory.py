@@ -1,14 +1,17 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
 buffers: the CJM1 dump, the metrics, the pump trace and the JTA stepper
-hold no full-size copy they do not need."""
+hold no full-size copy they do not need, and a trace that no other run
+shares stores no pump midpoints."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from taperfwm import io, jta, run_source, table1_config
+from taperfwm.cli import main
 from taperfwm.metrics import compute_metrics
 from taperfwm.pumps import propagate_pumps
 
@@ -47,11 +50,15 @@ def test_write_cjm1_copies_nothing(run, tmp_path):
 
 
 def test_compute_metrics_peak(run, cfg):
-    # a copy of the result, so that its JSA is built inside the trace
+    # no JSA is built: the purity's conjugated block of columns and its
+    # product with the JTA, an eighth of the state each, and less than one
+    # more such block for the spectral marginals' 1-D transforms
     result = dataclasses.replace(run.result)
+    before = result.jta.values.copy()
     metrics, peak, _ = _traced(lambda: compute_metrics(result, cfg))
-    assert peak <= 2.5 * result.jta.values.nbytes
+    assert peak <= 3 / 8 * result.jta.values.nbytes
     assert metrics == run.metrics
+    assert np.array_equal(result.jta.values, before)
 
 
 def test_pump_trace_keeps_midpoints_and_ends(cfg):
@@ -63,6 +70,19 @@ def test_pump_trace_keeps_midpoints_and_ends(cfg):
     # no larger array hides behind the kept ones: the call still holds the
     # trace, the grid's two axes and less than one more row of both pumps
     assert held <= expect + 2 * n_t * 8 + 2 * n_t * 16
+
+
+def test_unshared_run_peak_does_not_grow_with_n_z(cfg):
+    # a run whose trace no other run shares steps the pumps as the JTA
+    # stepper draws them: 300 more steps add a few floats each (xi, Theta
+    # and the z nodes), where stored midpoints would add 2 * 300 * n_t
+    # complex values (2.5 MB)
+    def peak(n_z):
+        c = cfg.replace(numerics={"n_z": n_z})
+        return _traced(lambda: run_source(c))[1]
+
+    peak(100)  # the transforms' first-call set-up, outside the comparison
+    assert peak(400) - peak(100) <= 300 * 8 * 8
 
 
 def test_evolve_jta_peak(run, cfg, monkeypatch):
@@ -78,3 +98,15 @@ def test_evolve_jta_peak(run, cfg, monkeypatch):
     # the state, the full-step multiplier and O(n * n_z) more
     assert peak <= 2 * state + n * n_z * 16
     assert np.array_equal(result.jta.values, run.result.jta.values)
+
+
+def test_simulate_dumps_the_final_jta_and_its_jsa(run, tmp_path):
+    # the final JSA is built in the state's own buffer after the JTA's dump
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"defaults": "table1", "numerics": GRID}))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(path), "-o", str(out), "--dump-jta", "--dump-jsa"]) == 0
+    phi = io.read_cjm1(out / "final_jta.cjm1")
+    assert np.array_equal(phi, run.result.jta.values)
+    expect = jta.jta_to_jsa(run.result.jta).values
+    assert np.array_equal(io.read_cjm1(out / "final_jsa.cjm1"), expect)

@@ -241,11 +241,19 @@ def test_spectral_cumulative_needs_snapshots(fast_run):
 
 
 def test_frequency_metrics_refuse_a_jta(fast_run):
-    phi = fast_run.result.jta
-    with pytest.raises(ValueError, match="frequency-domain"):
-        mean_shift(phi, table1_config().dispersion, T0)
     with pytest.raises(ValueError, match="frequency-domain"):
         spectral_cumulative(fast_run.result.snapshots)
+
+
+def test_mean_shift_of_a_jta_is_that_of_its_jsa(fast_run):
+    # the JTA's shifts come from 1-D transforms of its blocks, with no JSA,
+    # and leave the JTA as it was
+    phi = fast_run.result.jta
+    before = phi.values.copy()
+    disp = table1_config().dispersion
+    got = mean_shift(phi, disp, T0)
+    assert got == pytest.approx(mean_shift(jta_to_jsa(phi), disp, T0), rel=1e-12)
+    assert np.array_equal(phi.values, before)
 
 
 def test_schmidt_number_inverse(fast_run):

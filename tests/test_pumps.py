@@ -6,7 +6,9 @@ import pytest
 from taperfwm import pumps, table1_config
 from taperfwm.config import derive_run_params, tau_max_of
 from taperfwm.mismatch import mismatch_phase
-from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
+from taperfwm.jta import evolve_jta
+from taperfwm.pumps import (PropagationError, initial_envelopes, midpoints, propagate_pumps,
+                            pump_plan)
 from taperfwm.spectral import omega_axis
 
 from _reference import analytic_pumps, reference_pumps
@@ -222,6 +224,17 @@ def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
         propagate_pumps(cfg)
 
 
+def test_streamed_midpoints_are_the_stored_ones():
+    # one loop feeds both: the plan steps the pumps as they are drawn
+    cfg = _cfg(numerics={"n_t": 128, "n_z": 100})
+    stored = propagate_pumps(cfg)
+    plan = pump_plan(cfg)
+    assert plan.mid is None
+    streamed = np.array(list(midpoints(cfg, plan)))
+    assert np.array_equal(streamed, stored.mid.swapaxes(0, 1))
+    assert np.array_equal(plan.ends, stored.ends)
+
+
 def test_nan_envelope_raises_at_first_step(monkeypatch):
     cfg = _cfg()
     env = initial_envelopes(cfg)
@@ -229,3 +242,14 @@ def test_nan_envelope_raises_at_first_step(monkeypatch):
     monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
     with pytest.raises(PropagationError, match=r"diverged at step 1$"):
         propagate_pumps(cfg)
+
+
+def test_nan_envelope_stops_a_streamed_run_before_the_jta(monkeypatch):
+    # the pump's own error, not the JTA stepper's, though the JTA draws each
+    # step's pumps as soon as they are stepped
+    cfg = _cfg()
+    env = initial_envelopes(cfg)
+    env[1, 5] = np.nan
+    monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
+    with pytest.raises(PropagationError, match=r"^pump propagation diverged at step 1$"):
+        evolve_jta(cfg, pump_plan(cfg))
