@@ -75,11 +75,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     snapshot_nodes(args.snapshots, cfg.numerics.n_z)
     writer = io.ArtifactWriter("simulate", args.output, [cfg])
-    out = run_source(cfg, keep_pump_trace=args.dump_pumps, snapshots=args.snapshots)
+    out = run_source(cfg, snapshots=args.snapshots)
     if args.dump_pumps:
-        # the rest of the run needs none of the trace's step midpoints
         _dump_pumps(writer, out.pump_trace)
-        out.pump_trace = None
     writer.add(io.write_metrics_json(out.metrics, writer.path("metrics.json")))
     writer.add(io.write_xi_profile_csv(out.result.xi_profile, cfg.geometry.length,
                                        writer.path("xi_profile.csv")))

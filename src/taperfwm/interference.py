@@ -7,19 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import C_LIGHT, ConfigError, SourceConfig, tau_max_of
+from .config import ConfigError, SourceConfig, tau_max_of
 from .jta import JointAmplitude
 from .metrics import arrival_times
 from .spectral import omega_axis
-from .pumps import trace_key
 from .simulate import WorkerPool, run_source
-
-
-@dataclass
-class DelayLineSpec:
-    delta_t: float          # s, tunable delay range
-    fsr: float              # m
-    bw_3db: float           # m
 
 
 @dataclass
@@ -136,43 +128,17 @@ def align_arrival_times(phi1: JointAmplitude, phi2: JointAmplitude, t0_fwhm: flo
     return shifted, shift_s, shift_i
 
 
-# m, the wavelength at which the delay line is sized
-_DELAY_LINE_WAVELENGTH = 1550e-9
-
-
-def delay_line_requirements(delta_t: float) -> DelayLineSpec:
-    """Interferometric delay-line sizing for a tunable range delta_t."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be > 0")
-    fsr = 2.0 * _DELAY_LINE_WAVELENGTH**2 / (C_LIGHT * delta_t)
-    return DelayLineSpec(delta_t=delta_t, fsr=fsr, bw_3db=1.27 * fsr / 2.0)
-
-
-def _source_jtas(cfgs) -> list:
-    """The JTAs of configurations with one pumps.trace_key: the first run
-    propagates the pumps and the others reuse its trace."""
-    first = run_source(cfgs[0], keep_pump_trace=len(cfgs) > 1)
-    rest = [run_source(cfg, pump_trace=first.pump_trace) for cfg in cfgs[1:]]
-    return [out.result.jta for out in (first, *rest)]
+def _source_jta(cfg) -> JointAmplitude:
+    """The JTA of one source run, at module level so that a worker process
+    can be handed it."""
+    return run_source(cfg).result.jta
 
 
 def _fill(workers: WorkerPool, runs: dict, cfgs):
     """Simulate, as one batch, every configuration of cfgs that runs lacks,
-    and store its JTA in runs under that configuration.
-
-    Runs with one pumps.trace_key form one task, which propagates the pumps
-    once.  A batch with fewer such groups than workers runs every source as
-    a task of its own instead, so that no worker idles: the raw pair's two
-    runs, at one tau, stay parallel."""
+    and store its JTA in runs under that configuration."""
     todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in runs]
-    groups = {}
-    for cfg in todo:
-        groups.setdefault(trace_key(cfg), []).append(cfg)
-    tasks = list(groups.values())
-    if len(tasks) < workers.jobs:
-        tasks = [[cfg] for cfg in todo]
-    for task, jtas in zip(tasks, workers.map(_source_jtas, tasks)):
-        runs.update(zip(task, jtas))
+    runs.update(zip(todo, workers.map(_source_jta, todo)))
 
 
 _VISIBILITIES = {"rhom": rhom_visibility, "hhom": hhom_visibility}

@@ -124,14 +124,6 @@ class SimulationResult:
     xi_profile: XiProfile
     snapshots: list
 
-    @cached_property
-    def jsa(self) -> JointAmplitude:
-        """The final JSA in a new buffer, built on first access and kept.
-        No step of a run reads it: the metrics take the spectral means from
-        1-D transforms of the JTA, and simulate builds its final JSA in the
-        final state's own buffer."""
-        return jta_to_jsa(self.jta)
-
 
 def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
     """Diagonal of the FWM driving term on the (T_s, T_i) grid for the pump
@@ -147,10 +139,9 @@ def _source_diag(a1, a2, gamma_fwm: float, theta, dt: float) -> np.ndarray:
 def step_drives(cfg: SourceConfig, pump_trace: PumpTrace):
     """Each z-step's drive, in step order: the pump midpoints a1, a2 and the
     source diagonal, with the net mismatch phase Theta taken at the step
-    midpoint.  The midpoints come from pumps.midpoints: the stored ones of a
-    shared trace, or, on a trace of pumps.pump_plan, the pumps stepped as
-    each drive is drawn, so that drawing past the last drive checks the
-    pumps' energy law at z = L."""
+    midpoint.  The pumps are stepped as each drive is drawn (see
+    pumps.midpoints), so that drawing past the last drive checks the pumps'
+    energy law at z = L."""
     theta_mid = mismatch_phase(cfg, pump_trace.z_mid)
     gamma_fwm, dt = cfg.dispersion.gamma_p1p2si, pump_trace.grid.dt
     for k, (a1, a2) in enumerate(midpoints(cfg, pump_trace)):
@@ -194,8 +185,7 @@ def evolve_jta(
     snapshots: int = 0,
 ) -> SimulationResult:
     """Integrate the driven JTA equation in lockstep with the pumps of
-    pump_trace, stored or stepped as each step's drive is drawn (see
-    step_drives).
+    pump_trace, stepped as each step's drive is drawn (see step_drives).
 
     Each step is a symmetrized split step: a linear half-step in the
     frequency domain, the signal/idler XPM phase and the source injection

@@ -25,29 +25,20 @@ class PropagationError(RuntimeError):
 class PumpTrace:
     """The z-step plan of a run: n_z steps of width h between the nodes
     z_nodes, with midpoints z_mid, and the two pumps, stacked as the stepper
-    steps them, at z = 0 and z = L (ends, which --dump-pumps writes) and at
-    the step midpoints (see midpoints).  propagate_pumps stores the
-    midpoints in mid, for runs that share or dump the trace; a trace of
-    pump_plan stores none (mid is None), and its z = L row of ends is
-    filled when the last step is taken.  The interior nodes are not kept."""
+    steps them, at z = 0 and z = L (ends, which --dump-pumps writes).  The
+    pumps are stepped to each step midpoint as it is drawn (see midpoints),
+    which fills the z = L row of ends after the last step; neither the
+    midpoints nor the interior nodes are kept."""
 
     grid: Grid
     h: float
     z_nodes: np.ndarray          # (n_z + 1,)
     z_mid: np.ndarray            # (n_z,)
     ends: np.ndarray             # (2, 2, n_t): (pump, z = 0 | z = L, T)
-    mid: np.ndarray | None       # (2, n_z, n_t): (pump, step, T), or None
 
     @property
     def n_z(self):
         return self.z_nodes.size - 1
-
-
-def trace_key(cfg: SourceConfig) -> tuple:
-    """The parts of a configuration that its pump trace depends on: the
-    pump (with tau), the dispersion set, the numerics and the length.
-    Configurations with equal keys have bitwise equal traces."""
-    return (cfg.pump, cfg.dispersion, cfg.numerics, cfg.geometry.length)
 
 
 def gaussian_envelope(t_axis, center, peak_power):
@@ -84,21 +75,9 @@ def _check_energy(cfg: SourceConfig, launch: np.ndarray, end: np.ndarray):
         )
 
 
-def pump_plan(cfg: SourceConfig) -> PumpTrace:
-    """The z-step plan of cfg with its launch envelopes and no stored
-    midpoints, which midpoints then steps as they are drawn."""
-    n_z, L = cfg.numerics.n_z, cfg.geometry.length
-    h = L / n_z
-    z_nodes = np.linspace(0.0, L, n_z + 1)
-    a = initial_envelopes(cfg)
-    return PumpTrace(grid=cfg.grid(), h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
-                     ends=np.stack([a, np.zeros_like(a)], axis=1), mid=None)
-
-
 def midpoints(cfg: SourceConfig, trace: PumpTrace):
-    """Each step's two pump midpoints, as one (2, n_t) array, in step order:
-    the stored rows of trace.mid or, on a trace without them, the pumps
-    stepped as each is drawn, by the one pump-stepping loop.
+    """Each step's two pump midpoints, as one (2, n_t) array, in step order,
+    stepped from trace.ends' launch row as each is drawn.
 
     The loop integrates the two coupled pump equations over [0, L] at h/2,
     so that both the z nodes and the step midpoints hold physical
@@ -108,9 +87,6 @@ def midpoints(cfg: SourceConfig, trace: PumpTrace):
     or stepped on, and the z = L envelopes, which go into trace.ends, must
     follow the loss (see _check_energy).
     """
-    if trace.mid is not None:
-        yield from trace.mid.swapaxes(0, 1)
-        return
     d, num = cfg.dispersion, cfg.numerics
     hs = trace.h / 2.0  # internal sub-step
 
@@ -140,11 +116,11 @@ def midpoints(cfg: SourceConfig, trace: PumpTrace):
 
 
 def propagate_pumps(cfg: SourceConfig) -> PumpTrace:
-    """The plan of cfg (see pump_plan) with every step's midpoints stored in
-    mid, for runs that share the trace or dump it."""
-    trace = pump_plan(cfg)
-    mid = np.empty((2, trace.n_z, trace.grid.n), complex)
-    for k, a in enumerate(midpoints(cfg, trace)):
-        mid[:, k] = a
-    trace.mid = mid
-    return trace
+    """The z-step plan of cfg with its launch envelopes; midpoints steps
+    the pumps from there as their midpoints are drawn."""
+    n_z, L = cfg.numerics.n_z, cfg.geometry.length
+    h = L / n_z
+    z_nodes = np.linspace(0.0, L, n_z + 1)
+    a = initial_envelopes(cfg)
+    return PumpTrace(grid=cfg.grid(), h=h, z_nodes=z_nodes, z_mid=z_nodes[:-1] + h / 2.0,
+                     ends=np.stack([a, np.zeros_like(a)], axis=1))

@@ -9,13 +9,13 @@ from functools import cached_property
 from .config import SourceConfig, validate_config
 from .jta import SimulationResult, evolve_jta, worker_count
 from .metrics import MetricsReport, compute_metrics
-from .pumps import PumpTrace, propagate_pumps, pump_plan
+from .pumps import PumpTrace, propagate_pumps
 
 
 @dataclass
 class RunOutput:
     cfg: SourceConfig
-    pump_trace: PumpTrace | None
+    pump_trace: PumpTrace
     result: SimulationResult
 
     @cached_property
@@ -44,20 +44,12 @@ class WorkerPool:
         return map(fn, items) if self.pool is None else self.pool.map(fn, items)
 
 
-def run_source(cfg: SourceConfig, keep_pump_trace: bool = False, snapshots: int = 0,
-               pump_trace: PumpTrace | None = None) -> RunOutput:
-    """Validate, propagate the pumps and evolve the JTA, storing `snapshots`
-    evenly spaced states; the metrics follow on first access.
-
-    A run whose trace no other run shares steps the pumps inside the JTA
-    loop and stores none of their midpoints.  keep_pump_trace stores them
-    (propagate_pumps) and returns the trace, for a caller that shares it
-    or dumps it.  pump_trace, the trace of a run whose pumps.trace_key
-    equals this configuration's, replaces the pump propagation: the trace
-    depends on nothing else, so the run is bitwise the same."""
+def run_source(cfg: SourceConfig, snapshots: int = 0) -> RunOutput:
+    """Validate and evolve the JTA, storing `snapshots` evenly spaced
+    states, with the pumps stepped inside the JTA loop; the metrics follow
+    on first access.  The run's pump trace keeps no midpoints, and its ends
+    are filled once the run is done."""
     validate_config(cfg)
-    trace = pump_trace
-    if trace is None:
-        trace = propagate_pumps(cfg) if keep_pump_trace else pump_plan(cfg)
+    trace = propagate_pumps(cfg)
     result = evolve_jta(cfg, trace, snapshots=snapshots)
-    return RunOutput(cfg=cfg, pump_trace=trace if keep_pump_trace else None, result=result)
+    return RunOutput(cfg=cfg, pump_trace=trace, result=result)

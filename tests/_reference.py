@@ -1,7 +1,9 @@
 """Naive per-field reference steppers for the pump SSFM and the JTA, the
-JTA stepper on whole-array transforms, the first-order perturbative oracle,
-the source term by direct spectral convolution, the JTA<->JSA transform pair by the textbook route, and the
-closed-form moving pumps and collision-point arrival times.
+pump midpoints stored as one array, the JTA stepper on whole-array
+transforms, the first-order perturbative oracle, the source term by direct
+spectral convolution, the JTA<->JSA transform pair by the textbook route,
+the closed-form moving pumps and collision-point arrival times, and the
+delay-line sizing.
 
 The two per-field steppers split the net mismatch phase among the four
 fields with weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
@@ -12,12 +14,14 @@ up to the global phase exp(-i (w_s + w_i) Theta(L)), which is what the
 production steppers return, having put the whole mismatch on the source.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from taperfwm.config import derive_run_params
+from taperfwm.config import C_LIGHT, derive_run_params
 from taperfwm.jta import JointAmplitude, snapshot_nodes, step_drives
 from taperfwm.mismatch import mismatch_phase
-from taperfwm.pumps import initial_envelopes
+from taperfwm.pumps import initial_envelopes, midpoints, propagate_pumps
 from taperfwm.spectral import linear_exponents, omega_axis
 
 
@@ -49,6 +53,13 @@ def reference_pumps(cfg, weights):
         out1.append(a1)
         out2.append(a2)
     return np.array(out1), np.array(out2)
+
+
+def stored_midpoints(cfg):
+    """A fresh trace of cfg, its ends filled, and every step's pump
+    midpoints stacked as one (2, n_z, n_t) array: (pump, step, T)."""
+    trace = propagate_pumps(cfg)
+    return trace, np.stack(list(midpoints(cfg, trace)), axis=1)
 
 
 def reference_jta(cfg, weights):
@@ -224,3 +235,22 @@ def fftn_stepper(cfg, trace, snapshots):
     if n_z in nodes:
         snaps.append(state)
     return state, xi, snaps
+
+
+@dataclass
+class DelayLineSpec:
+    delta_t: float          # s, tunable delay range
+    fsr: float              # m
+    bw_3db: float           # m
+
+
+# m, the wavelength at which the delay line is sized
+_DELAY_LINE_WAVELENGTH = 1550e-9
+
+
+def delay_line_requirements(delta_t: float) -> DelayLineSpec:
+    """Interferometric delay-line sizing for a tunable range delta_t."""
+    if delta_t <= 0:
+        raise ValueError("delta_t must be > 0")
+    fsr = 2.0 * _DELAY_LINE_WAVELENGTH**2 / (C_LIGHT * delta_t)
+    return DelayLineSpec(delta_t=delta_t, fsr=fsr, bw_3db=1.27 * fsr / 2.0)

