@@ -159,22 +159,28 @@ def snapshot_nodes(count: int, n_z: int) -> np.ndarray:
 
 def worker_count() -> int:
     """CPUs this process may use: the worker processes of a pool of
-    independent runs, or the slabs of one JTA run."""
+    independent runs, or the threads of one JTA run."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-# the smallest n_t whose z-steps are split across threads: on smaller grids
-# the hand-offs between threads cost more than the split transforms save
-_SLAB_MIN_N = 512
+# the smallest n_t whose z-steps are shared among threads: on smaller grids
+# the hand-offs between threads cost more than the shared passes save
+_THREADS_MIN_N = 512
+
+# rows of a block of a z-step's passes, and the side of a block of its
+# transpose: 64, 128 and 256 measured alike at n_t = 128, 256 and 512, 32
+# was slower at 512 and one whole-state block slower still; 128 keeps each
+# thread's transpose temporary at 256 kB
+_BLOCK = 128
 
 
-def _slab_count(n: int) -> int:
-    """Slabs of one z-step on an n x n grid: one per usable CPU from
-    n = _SLAB_MIN_N on, except in a pool's worker process, whose sibling
+def _thread_count(n: int) -> int:
+    """Threads of one z-step on an n x n grid: one per usable CPU from
+    n = _THREADS_MIN_N on, except in a pool's worker process, whose sibling
     workers hold the other CPUs; otherwise one."""
-    if n < _SLAB_MIN_N or parent_process() is not None:
+    if n < _THREADS_MIN_N or parent_process() is not None:
         return 1
     return worker_count()
 
@@ -187,28 +193,30 @@ def evolve_jta(
     """Integrate the driven JTA equation in lockstep with the pumps of
     pump_trace, stepped as each step's drive is drawn (see step_drives).
 
-    Each step is a symmetrized split step: a linear half-step in the
-    frequency domain, the signal/idler XPM phase and the source injection
-    on the time grid at the pump midpoint, and a second linear half-step.
-    The trailing half-step of one step and the leading one of the next
-    are fused into one full-step multiplier, which every step takes: the
-    state starts at zero, on which a half-step acts as a full one.  The
-    state lives in one n x n buffer that is transformed in place.  settle
-    takes the half-step a node owes: on a copy for a snapshot at one of
-    the `snapshots` evenly spaced nodes (see snapshot_nodes), so the result
-    does not depend on the snapshots, and on the state at the last node.
+    The state stays on the time grid, in one n x n buffer.  Each step is a
+    full linear step, the signal/idler XPM phases at the pump midpoint and
+    the source injection on the diagonal: the symmetrized split step with
+    the trailing linear half-step of one step fused with the leading one of
+    the next (the state starts at zero, on which the first leading
+    half-step acts as a full one).  The linear and XPM operators factor
+    into a Signal and an Idler part, which commute, so a step is one pass
+    per axis over the buffer's rows: each row to frequency, times that
+    axis's exp(h l), back, times its XPM phase.  The buffer is transposed
+    in place between the passes, so every 1-D transform runs on contiguous
+    rows and the axis the rows run along alternates from step to step.
+    The diagonal is the same in both layouts, so the source and the
+    bookkeeping read it wherever the state stands.  settle takes the
+    half-step a node owes, by the same pass pair with no XPM and one more
+    transpose when the rows end along the Signal axis: on a copy for a
+    snapshot at one of the `snapshots` evenly spaced nodes (see
+    snapshot_nodes), so the result does not depend on the snapshots, and
+    on the state at the last node.
 
-    Each 2-D transform runs as its two 1-D passes in the order
-    np.fft.fftn(axes=(0, 1)) takes them: axis 1 over contiguous row slabs,
-    then axis 0 over column slabs, the slabs shared with helper threads
-    that live for this call only (see _slab_count).  A step's elementwise
-    work runs on each row slab ahead of its pass: the full-step multiplier
-    ahead of the forward transform, the XPM phases and the injected
-    diagonal ahead of the inverse one.  The diagonal after the
-    XPM phases, the source and the bookkeeping are formed on the calling
-    thread between the transforms.  Each 1-D transform sees the same data,
-    and each element the same operations in the same order, for any slab
-    count, so the result is bitwise that of whole-array fftn/ifftn steps.
+    This thread and helper threads that live for this call only (see
+    _thread_count) claim a pass's row blocks and a transpose's block pairs
+    from one shared iterator.  Each 1-D transform sees the same row, and
+    each element the same operations in the same order, whichever thread
+    claims it, so the result is bitwise the same for any thread count.
 
     xi(z) at every node is the exact discrete loss/source bookkeeping, an
     O(n) recursion on the diagonal; a non-finite xi stops the run at that
@@ -220,19 +228,21 @@ def evolve_jta(
     n = num.n_t
     n_z, h, dt = pump_trace.n_z, pump_trace.h, grid.dt
 
+    # per axis, 0 the Signal and 1 the Idler
     ls, li = linear_exponents(cfg, grid, ("s", "i"))
-    half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
-    full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
+    full = (np.exp(h * ls), np.exp(h * li))
+    half = (np.exp(0.5 * h * ls), np.exp(0.5 * h * li))
 
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
     decay_half = np.exp(-sigma * h / 2.0)
     nl_on = num.xpm_spm_enabled
 
-    # the state: time domain around the nonlinear part of a step, frequency
-    # domain (the unnormalized ifft2 of the time values) between steps; it
-    # starts at zero, which is both
+    # the state: values[T_s, T_i], its rows along the Idler axis, at the
+    # start, and transposed, its rows along the Signal axis, after an odd
+    # number of steps
     state = np.zeros((n, n), complex)
     diag = state.reshape(-1)[:: n + 1]  # view of the diagonal
+    along = 1  # the axis the state's rows run along
 
     xi = np.zeros(n_z + 1)
 
@@ -242,71 +252,76 @@ def evolve_jta(
     def physical(k, values_time):
         return JointAmplitude(values=values_time, domain="time", grid=grid, z=float(pump_trace.z_nodes[k]))
 
-    count = _slab_count(n)
-    slabs = [slice(n * j // count, n * (j + 1) // count) for j in range(count)]
+    blocks = [slice(j, j + _BLOCK) for j in range(0, n, _BLOCK)]
+    pairs = [(r, c) for j, r in enumerate(blocks) for c in blocks[j:]]
+    count = _thread_count(n)
     helpers = ThreadPoolExecutor(count - 1) if count > 1 else None
 
-    def each_slab(fn):
-        # fn(slab) for every slab: the first on this thread, the others on the helpers
-        pending = [helpers.submit(fn, s) for s in slabs[1:]]
-        fn(slabs[0])
+    def shared(fn, items):
+        # fn(item) for every item, each claimed once from one iterator by
+        # this thread and the helpers: next() on a list iterator is one step
+        # under the interpreter lock
+        claim = iter(items)
+
+        def drain():
+            for item in claim:
+                fn(item)
+
+        pending = [helpers.submit(drain) for _ in range(count - 1)]
+        drain()
         for f in pending:
             f.result()
 
-    def transform(a, fft, before=None):
-        """a in place by fft (np.fft.fft or ifft) along axis 1 over row
-        slabs, then along axis 0 over column slabs; before(a[s], s) runs on
-        each row slab ahead of its pass."""
+    def axis_pass(a, mult, phase):
+        # along each row of a: to frequency, times mult, back, times phase
         def rows(s):
             v = a[s]
-            if before is not None:
-                before(v, s)
-            fft(v, axis=1, out=v)
+            np.fft.ifft(v, axis=1, out=v)
+            v *= mult
+            np.fft.fft(v, axis=1, out=v)
+            if phase is not None:
+                v *= phase
 
-        def cols(s):
-            v = a[:, s]
-            fft(v, axis=0, out=v)
+        shared(rows, blocks)
 
-        each_slab(rows)
-        each_slab(cols)
-        return a
+    def transpose(a):
+        def swap(pair):
+            r, c = pair
+            below = a[c, r].T.copy()
+            if r != c:
+                a[c, r] = a[r, c].T
+            a[r, c] = below
 
-    def full_step(v, s):
-        v *= full_mult[s]
+        shared(swap, pairs)
+
+    def pass_pair(a, axis, mults, phases=(None, None)):
+        # both axes' passes on a, the first along `axis`, which its rows run
+        # along; returns the axis they run along after the transpose
+        axis_pass(a, mults[axis], phases[axis])
+        transpose(a)
+        axis_pass(a, mults[1 - axis], phases[1 - axis])
+        return 1 - axis
 
     def settle(k, a):
         # the amplitude at node k of a, the state or a copy of it
-        a *= half_s
-        a *= half_i
-        return physical(k, transform(a, np.fft.fft))
+        if pass_pair(a, along, half) == 0:
+            transpose(a)
+        return physical(k, a)
 
     try:
         if 0 in snap_nodes:
             snaps.append(physical(0, state.copy()))
 
         for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
-            transform(state, np.fft.fft, full_step)
-
-            # the diagonal after the XPM phases, which the state itself
-            # takes ahead of the inverse pass
-            after_xpm = diag
+            xpm = (None, None)
             if nl_on:
                 ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
                 ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-                xpm_s, xpm_i = np.exp(1j * h * ns), np.exp(1j * h * ni)
-                after_xpm = diag * xpm_s
-                after_xpm *= xpm_i
+                xpm = (np.exp(1j * h * ns), np.exp(1j * h * ni))
+            along = pass_pair(state, along, full, xpm)
 
-            gain = 2.0 * h * float(np.real(np.vdot(src_diag, after_xpm + 0.5 * h * src_diag))) * dt * dt
-            injected = after_xpm + h * src_diag
-
-            def xpm_and_source(v, s):
-                if nl_on:
-                    v *= xpm_s[s, None]
-                    v *= xpm_i
-                diag[s] = injected[s]
-
-            transform(state, np.fft.ifft, xpm_and_source)
+            gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
+            diag += h * src_diag
 
             # exact discrete loss/source bookkeeping in the spirit of the
             # cumulative-probability integral: losses act through the two half

@@ -1,6 +1,6 @@
 """Naive per-field reference steppers for the pump SSFM and the JTA, the
 pump midpoints stored as one array, the JTA stepper on whole-array
-transforms, the first-order perturbative oracle, the source term by direct
+axis passes, the first-order perturbative oracle, the source term by direct
 spectral convolution, the JTA<->JSA transform pair by the textbook route,
 the closed-form moving pumps and collision-point arrival times, and the
 delay-line sizing.
@@ -190,48 +190,53 @@ def global_phase(cfg, weights):
     return np.exp(-1j * (weights[2] + weights[3]) * mismatch_phase(cfg, cfg.geometry.length))
 
 
-def fftn_stepper(cfg, trace, snapshots):
-    """The fused JTA stepper with every 2-D transform a whole-array
-    np.fft.fftn/ifftn call and every multiplier applied to the whole state;
-    returns (final JTA values, xi at every node, snapshot values).  The
-    production stepper forms the same transforms by slabs and must match
-    it bit for bit."""
+def whole_array_stepper(cfg, trace, snapshots):
+    """The JTA stepper with every axis pass one np.fft call on the whole
+    state, which stays values[T_s, T_i], and every multiplier applied to
+    the whole state; returns (final JTA values, xi at every node, snapshot
+    values).  The passes take the axes in the order the production
+    stepper's alternating layout does: the Idler axis first after an even
+    number of steps, the Signal axis first after an odd one, and so does
+    the pass pair that settles a node.  The production stepper forms the
+    same passes on the contiguous rows of a buffer it transposes between
+    them, shared among threads, and must match it bit for bit."""
     d, grid = cfg.dispersion, trace.grid
     rp = derive_run_params(cfg)
     n, n_z, h, dt = grid.n, trace.n_z, trace.h, grid.dt
     ls, li = linear_exponents(cfg, grid, ("s", "i"))
-    half_s, half_i = np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :]
-    full_mult = np.exp(h * ls)[:, None] * np.exp(h * li)[None, :]
+    full = (np.exp(h * ls)[:, None], np.exp(h * li)[None, :])
+    half = (np.exp(0.5 * h * ls)[:, None], np.exp(0.5 * h * li)[None, :])
     decay_half = np.exp(-(rp.alpha_m["s"] + rp.alpha_m["i"]) * h / 2.0)
     nodes = set(snapshot_nodes(snapshots, n_z).tolist())
+
+    def pass_pair(a, k, mults, phases):
+        # the passes after k steps: per axis, to frequency, times the
+        # linear factor, back, times the XPM phase
+        for axis in ((1, 0) if k % 2 == 0 else (0, 1)):
+            np.fft.ifft(a, axis=axis, out=a)
+            a *= mults[axis]
+            np.fft.fft(a, axis=axis, out=a)
+            if phases is not None:
+                a *= phases[axis]
+        return a
+
     state = np.zeros((n, n), complex)
     diag = state.reshape(-1)[:: n + 1]
     xi = np.zeros(n_z + 1)
     snaps = [state.copy()] if 0 in nodes else []
-    np.fft.ifftn(state, axes=(0, 1), out=state)
-    state *= half_s
-    state *= half_i
     for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, trace)):
-        np.fft.fftn(state, axes=(0, 1), out=state)
+        xpm = None
         if cfg.numerics.xpm_spm_enabled:
             ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
             ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
-            state *= np.exp(1j * h * ns)[:, None]
-            state *= np.exp(1j * h * ni)[None, :]
+            xpm = (np.exp(1j * h * ns)[:, None], np.exp(1j * h * ni)[None, :])
+        pass_pair(state, k, full, xpm)
         gain = 2.0 * h * float(np.real(np.vdot(src_diag, diag + 0.5 * h * src_diag))) * dt * dt
         diag += h * src_diag
-        np.fft.ifftn(state, axes=(0, 1), out=state)
         xi[k + 1] = decay_half * (decay_half * xi[k] + gain)
-        if k + 1 == n_z:
-            state *= half_s
-            state *= half_i
-        else:
-            if k + 1 in nodes:
-                snap = state * half_s
-                snap *= half_i
-                snaps.append(np.fft.fftn(snap, axes=(0, 1), out=snap))
-            state *= full_mult
-    np.fft.fftn(state, axes=(0, 1), out=state)
+        if k + 1 < n_z and k + 1 in nodes:
+            snaps.append(pass_pair(state.copy(), k + 1, half, None))
+    pass_pair(state, n_z, half, None)
     if n_z in nodes:
         snaps.append(state)
     return state, xi, snaps

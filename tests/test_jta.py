@@ -1,5 +1,5 @@
 """Driven joint-amplitude evolution: source term, oracle, bookkeeping,
-and the slabs of the z-step."""
+and the threads of the z-step."""
 
 import sys
 import threading
@@ -16,8 +16,8 @@ from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.simulate import WorkerPool
 
-from _reference import (fftn_stepper, global_phase, perturbative_oracle, reference_jta,
-                        spectral_source, stored_midpoints)
+from _reference import (global_phase, perturbative_oracle, reference_jta, spectral_source,
+                        stored_midpoints, whole_array_stepper)
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -259,24 +259,29 @@ def test_bookkeeping_checked_on_every_run(monkeypatch):
         evolve_jta(cfg, trace)
 
 
-def _force_slabs(monkeypatch, count):
-    """Split every z-step of this process into `count` slabs, at any n_t."""
-    monkeypatch.setattr(jta, "_SLAB_MIN_N", 1)
+def _force_threads(monkeypatch, count, block):
+    """Share every z-step of this process among `count` threads, in blocks
+    of `block` rows, at any n_t."""
+    monkeypatch.setattr(jta, "_THREADS_MIN_N", 1)
     monkeypatch.setattr(jta, "worker_count", lambda: count)
+    monkeypatch.setattr(jta, "_BLOCK", block)
 
 
 @pytest.mark.parametrize("xpm, taper", [(True, 0.1e-6), (False, 0.1e-6), (True, 0.0)])
 def test_slab_count_changes_no_bit(monkeypatch, xpm, taper):
-    # 64 rows and columns in 3 slabs split unevenly (21, 21, 22); the threads
-    # switch every microsecond, so that slabs interleave
-    cfg = _cfg(numerics={"xpm_spm_enabled": xpm}, geometry={"taper_amplitude": taper})
+    # 64 rows in blocks of 21 rows (21, 21, 21, 1), so that the transpose
+    # swaps blocks of unequal sides, on 1, 2 and 3 threads that switch every
+    # microsecond, so that blocks interleave; an odd n_z and snapshots at
+    # odd nodes (25 and 99 of 0, 25, 50, 74, 99) end a settle in either
+    # layout
+    cfg = _cfg(numerics={"xpm_spm_enabled": xpm, "n_z": 99}, geometry={"taper_amplitude": taper})
     trace = propagate_pumps(cfg)
-    ref_jta, ref_xi, ref_snaps = fftn_stepper(cfg, trace, snapshots=5)
+    ref_jta, ref_xi, ref_snaps = whole_array_stepper(cfg, trace, snapshots=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for count in (1, 2, 3):
-            _force_slabs(monkeypatch, count)
+            _force_threads(monkeypatch, count, block=21)
             res = evolve_jta(cfg, trace, snapshots=5)
             assert np.array_equal(res.jta.values, ref_jta), count
             assert np.array_equal(res.xi_profile.xi, ref_xi), count
@@ -288,7 +293,7 @@ def test_slab_count_changes_no_bit(monkeypatch, xpm, taper):
 
 
 def test_no_thread_outlives_a_run(monkeypatch):
-    _force_slabs(monkeypatch, 2)
+    _force_threads(monkeypatch, 2, block=16)
     threads = []  # the live threads as each step's drive is drawn
     real_step_drives = jta.step_drives
 
@@ -302,8 +307,8 @@ def test_no_thread_outlives_a_run(monkeypatch):
     trace = propagate_pumps(cfg)
     before = threading.active_count()
     evolve_jta(cfg, trace)
-    # one helper, for the second slab: it starts in the first step's forward
-    # pass, after that step's drive is drawn
+    # one helper: it starts in the first step's first pass, after that
+    # step's drive is drawn
     assert max(threads) == before + 1
     assert set(threads[1:]) == {before + 1}
     assert threading.active_count() == before
@@ -317,9 +322,9 @@ def test_no_thread_outlives_a_run(monkeypatch):
 def test_pool_workers_take_one_slab():
     with WorkerPool(2, 2) as workers:
         assert workers.pool is not None
-        assert list(workers.map(jta._slab_count, [512, 512])) == [1, 1]
-    assert jta._slab_count(512) == simulate.worker_count()
-    assert jta._slab_count(256) == 1
+        assert list(workers.map(jta._thread_count, [512, 512])) == [1, 1]
+    assert jta._thread_count(512) == simulate.worker_count()
+    assert jta._thread_count(256) == 1
 
 
 def _bounded(fn, timeout: float):
@@ -341,8 +346,8 @@ def _bounded(fn, timeout: float):
 
 
 def test_pool_forked_after_a_sliced_run_completes(monkeypatch, fast_cfg):
-    # the pool's workers are forked after a 2-slab run in this process
-    _force_slabs(monkeypatch, 2)
+    # the pool's workers are forked after a 2-thread run in this process
+    _force_threads(monkeypatch, 2, block=16)
     evolve_jta(fast_cfg, propagate_pumps(fast_cfg))
     monkeypatch.setattr(simulate, "worker_count", lambda: 2)
     cfg2 = fast_cfg.replace(geometry={"height_offset": 2e-9})

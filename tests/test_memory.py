@@ -118,17 +118,18 @@ def test_dump_pumps_peak_does_not_grow_with_n_z(cfg, tmp_path):
 
 
 def test_evolve_jta_peak(run, cfg, monkeypatch):
-    # two slabs at any n_t, so that the transforms run on row and column
-    # views of the state; the whole-array stepper peaked at two states plus
-    # 0.41 n * n_z complex values (167 kB)
-    monkeypatch.setattr(jta, "_SLAB_MIN_N", 1)
+    # two threads at any n_t, so that both transpose their block pairs at
+    # once; the stepper peaked at 1.58 states here (the state, two 128 x 128
+    # block temporaries, and 0.08 of a state more), where the whole-array
+    # fused stepper peaked at two states plus 0.41 n * n_z complex values
+    monkeypatch.setattr(jta, "_THREADS_MIN_N", 1)
     monkeypatch.setattr(jta, "worker_count", lambda: 2)
     n, n_z = GRID["n_t"], GRID["n_z"]
     trace = propagate_pumps(cfg)
     result, peak, _ = _traced(lambda: jta.evolve_jta(cfg, trace))
     state = n * n * 16
-    # the state, the full-step multiplier and O(n * n_z) more
-    assert peak <= 2 * state + n * n_z * 16
+    # the state, one block temporary per thread and O(n * n_z) more
+    assert peak <= state + 2 * jta._BLOCK ** 2 * 16 + n * n_z * 16
     assert np.array_equal(result.jta.values, run.result.jta.values)
 
 
