@@ -71,10 +71,9 @@ def _snapshot_jsas(writer: io.ArtifactWriter, snapshots: list, final_jsa: JointA
         del jsa
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    snapshot_nodes(args.snapshots, cfg.numerics.n_z)
-    writer = io.ArtifactWriter("simulate", args.output, [cfg])
+def _simulate(writer: io.ArtifactWriter, cfg: SourceConfig, args):
+    """Run cfg and write its artifacts; the run, its JTA and its JSA are
+    freed on return, before the manifest's checksums are taken."""
     out = run_source(cfg, snapshots=args.snapshots)
     if args.dump_pumps:
         _dump_pumps(writer, out.pump_trace)
@@ -97,6 +96,13 @@ def cmd_simulate(args) -> int:
                                                               args.dump_jsa))
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
+
+
+def cmd_simulate(args) -> int:
+    cfg = load_config(args.config)
+    snapshot_nodes(args.snapshots, cfg.numerics.n_z)
+    writer = io.ArtifactWriter("simulate", args.output, [cfg])
+    _simulate(writer, cfg, args)
     writer.finish()
     return EXIT_OK
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import struct
 import time
@@ -149,6 +148,10 @@ def write_json(doc: dict, path) -> Path:
 
 
 def _sha256(path: Path) -> str:
+    # imported here: its OpenSSL load holds a few MB resident, which only
+    # the manifest, written after a run's arrays are freed, needs to pay
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         # in 64 KiB blocks, so a matrix dump is never held whole and the
@@ -160,7 +163,8 @@ def _sha256(path: Path) -> str:
 
 class ArtifactWriter:
     """Collects files into an output directory and finishes with the
-    manifest (written last, listing every other file with its checksum)."""
+    manifest (written last, listing every other file with its checksum,
+    each taken then)."""
 
     def __init__(self, command: str, out_dir, configs: list[SourceConfig]):
         self.out_dir = Path(out_dir)
@@ -169,8 +173,8 @@ class ArtifactWriter:
             "command": command,
             "configs": [config_to_dict(c) for c in configs],
             "version": __version__,
-            "files": {},  # name -> sha256
         }
+        self._paths = {}  # name -> path
         self._t0 = time.monotonic()
 
     def path(self, name: str) -> Path:
@@ -178,14 +182,16 @@ class ArtifactWriter:
 
     def add(self, path: Path):
         path = Path(path)
-        files = self.manifest["files"]
-        files[path.name] = _sha256(path)
+        self._paths[path.name] = path
         # matrix writers drop a sidecar next to the file; pick it up too
         side = path.with_suffix(path.suffix + ".json")
         if side.exists():
-            files[side.name] = _sha256(side)
+            self._paths[side.name] = side
 
     def finish(self) -> Path:
-        """Write the manifest; call last so every file is listed."""
+        """Checksum every added file and write the manifest; call last so
+        every file is listed."""
+        # name -> sha256
+        self.manifest["files"] = {name: _sha256(p) for name, p in self._paths.items()}
         self.manifest["duration_s"] = time.monotonic() - self._t0
         return _write_json(self.manifest, self.path("manifest.json"))

@@ -9,10 +9,10 @@ envelopes and the stepped amplitude carry no mismatch phase of their own.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from multiprocessing import parent_process
 
 import numpy as np
 
@@ -179,8 +179,10 @@ _BLOCK = 128
 def _thread_count(n: int) -> int:
     """Threads of one z-step on an n x n grid: one per usable CPU from
     n = _THREADS_MIN_N on, except in a pool's worker process, whose sibling
-    workers hold the other CPUs; otherwise one."""
-    if n < _THREADS_MIN_N or parent_process() is not None:
+    workers hold the other CPUs; otherwise one.  A worker runs in
+    multiprocessing, so a process that never imported it is none."""
+    mp = sys.modules.get("multiprocessing")
+    if n < _THREADS_MIN_N or (mp is not None and mp.parent_process() is not None):
         return 1
     return worker_count()
 

@@ -35,10 +35,23 @@ def heralded_purity(phi: JointAmplitude) -> float:
     norm_sq = sum_abs2(a)
     if norm_sq == 0.0:
         raise ValueError("purity undefined for a zero amplitude")
-    # A^H A by blocks of rows, each from the conjugate of a block of
-    # columns: neither A^H nor A^H A is held whole
-    step = -(-a.shape[1] // BLOCKS)
-    gram_sq = sum(sum_abs2(a[:, j:j + step].conj().T @ a) for j in range(0, a.shape[1], step))
+    # A^H A by tiles A_I^H A_J of blocks of columns, each written into one
+    # buffer, as is conj(A_I) (copied, then conjugated in place, which takes
+    # no ufunc buffer), so that BLAS packs only small panels; A^H A is
+    # Hermitian, so each tile above its diagonal counts twice
+    rows, n = a.shape
+    step = -(-n // BLOCKS)
+    left_buf, tile_buf = np.empty(rows * step, complex), np.empty(step * step, complex)
+    gram_sq = 0.0
+    for i in range(0, n, step):
+        q = min(step, n - i)
+        left = left_buf[:rows * q].reshape(rows, q)
+        np.copyto(left, a[:, i:i + q])
+        left = np.conjugate(left, out=left).T
+        for j in range(i, n, step):
+            r = min(step, n - j)
+            tile = np.matmul(left, a[:, j:j + r], out=tile_buf[:q * r].reshape(q, r))
+            gram_sq += (1.0 if j == i else 2.0) * sum_abs2(tile)
     return gram_sq / norm_sq**2
 
 

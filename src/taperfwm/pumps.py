@@ -81,11 +81,12 @@ def midpoints(cfg: SourceConfig, trace: PumpTrace):
 
     The loop integrates the two coupled pump equations over [0, L] at h/2,
     so that both the z nodes and the step midpoints hold physical
-    envelopes.  Both pumps are stepped together, with three transforms per
-    sub-step, and the SPM/XPM phases are one 2x2 gamma matrix acting on
-    (|a1|^2, |a2|^2).  Every sub-step must be finite before it is yielded
-    or stepped on, and the z = L envelopes, which go into trace.ends, must
-    follow the loss (see _check_energy).
+    envelopes.  Both pumps are stepped together, with two transforms per
+    sub-step and a third at each midpoint and at z = L, and the SPM/XPM
+    phases are one 2x2 gamma matrix acting on (|a1|^2, |a2|^2).  Every
+    sub-step must be finite before it is yielded or stepped on, and the
+    z = L envelopes, which go into trace.ends, must follow the loss (see
+    _check_energy).
     """
     d, num = cfg.dispersion, cfg.numerics
     hs = trace.h / 2.0  # internal sub-step
@@ -97,21 +98,24 @@ def midpoints(cfg: SourceConfig, trace: PumpTrace):
     nl_on = num.xpm_spm_enabled
 
     # the spectrum of a sub-step's end is carried into the next sub-step
-    # instead of transforming the envelope back
+    # instead of transforming the envelope back; the envelope itself is
+    # formed only at a midpoint and at z = L, and a node sub-step is checked
+    # on its spectrum
     fft, ifft = np.fft.fft, np.fft.ifft
     spec = ifft(trace.ends[:, 0])
+    last = 2 * trace.n_z - 1
     for k in range(2 * trace.n_z):
         a = fft(half * spec)
         if nl_on:
             a *= np.exp(1j * (gamma @ (np.abs(a) ** 2)))
         spec = half * ifft(a)
-        a = fft(spec)
+        out = fft(spec) if k % 2 == 0 or k == last else spec
 
-        if not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(out)):
             raise PropagationError(f"pump propagation diverged at step {k // 2 + 1}")
         if k % 2 == 0:
-            yield a
-    trace.ends[:, 1] = a
+            yield out
+    trace.ends[:, 1] = out
     _check_energy(cfg, trace.ends[:, 0], trace.ends[:, 1])
 
 

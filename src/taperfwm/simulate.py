@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +30,13 @@ class WorkerPool:
 
     def __init__(self, tasks: int = 1, jobs: int = 0):
         self.jobs = max(1, min(jobs or worker_count(), tasks))
-        self.pool = ProcessPoolExecutor(max_workers=self.jobs) if self.jobs > 1 else None
+        self.pool = None
+        if self.jobs > 1:
+            # imported here, so that a process that starts no worker never
+            # loads multiprocessing (see jta._thread_count)
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.pool = ProcessPoolExecutor(max_workers=self.jobs)
 
     def __enter__(self):
         return self

@@ -520,6 +520,8 @@ def test_simulate_reports_validation_warnings(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_workers_capped_at_points(cfg_path, tmp_path, monkeypatch):
+    import concurrent.futures
+
     from taperfwm import simulate
 
     pools = []
@@ -537,7 +539,8 @@ def test_sweep_workers_capped_at_points(cfg_path, tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(simulate, "worker_count", lambda: 8)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    # WorkerPool looks the pool up in concurrent.futures as it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     tm = tau_max_of(table1_config())
     out = tmp_path / "sweep"
     assert main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "tau",

@@ -1,5 +1,6 @@
 """Binary matrix format, metrics serialization, manifest."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -96,7 +97,9 @@ def test_manifest_lists_everything(fast_run, tmp_path):
     doc = json.loads(mpath.read_text())
     assert set(doc["files"]) == {"metrics.json", "final_jta.cjm1", "final_jta.cjm1.json"}
     assert doc["command"] == "simulate"
-    assert all(len(h) == 64 for h in doc["files"].values())
+    # each checksum is taken as the manifest is written, of the file's bytes
+    for name, digest in doc["files"].items():
+        assert digest == hashlib.sha256(w.path(name).read_bytes()).hexdigest(), name
     # every JSON artifact has one layout: sorted keys, two-space indent, a
     # final newline
     for name in ("metrics.json", "final_jta.cjm1.json", "manifest.json"):

@@ -1,16 +1,23 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
 buffers: the CJM1 dump, the metrics, the pump trace and the JTA stepper
 hold no full-size copy they do not need, and no run, its pump dump
-included, stores the pump midpoints."""
+included, stores the pump midpoints.  A simulate also loads no module it
+does not run, which tracemalloc cannot see, so that is checked in a fresh
+interpreter."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taperfwm
 from taperfwm import io, jta, run_source, table1_config
 from taperfwm.cli import main
 from taperfwm.metrics import compute_metrics
@@ -51,13 +58,16 @@ def test_write_cjm1_copies_nothing(run, tmp_path):
 
 
 def test_compute_metrics_peak(run, cfg):
-    # no JSA is built: the purity's conjugated block of columns and its
-    # product with the JTA, an eighth of the state each, and less than one
-    # more such block for the spectral marginals' 1-D transforms
+    # no JSA is built: an eighth of the state at a time, the purity's
+    # conjugated block of columns or the spectral marginals' 1-D transforms
+    # of one, and less than a thirty-second more, the purity's tile of
+    # A^H A (1/64) or the marginals' real blocks (3/128); measured 0.148 of
+    # the state, where the products of a block of columns with the whole
+    # JTA read 0.252
     result = dataclasses.replace(run.result)
     before = result.jta.values.copy()
     metrics, peak, _ = _traced(lambda: compute_metrics(result, cfg))
-    assert peak <= 3 / 8 * result.jta.values.nbytes
+    assert peak <= (1 / 8 + 1 / 32) * result.jta.values.nbytes
     assert metrics == run.metrics
     assert np.array_equal(result.jta.values, before)
 
@@ -143,3 +153,30 @@ def test_simulate_dumps_the_final_jta_and_its_jsa(run, tmp_path):
     assert np.array_equal(phi, run.result.jta.values)
     expect = jta.jta_to_jsa(run.result.jta).values
     assert np.array_equal(io.read_cjm1(out / "final_jsa.cjm1"), expect)
+
+
+# the process pool, with multiprocessing (1.4 MB resident), and OpenSSL's
+# hashes (3.6 MB), neither of which a simulate's run uses
+_UNUSED = ("multiprocessing", "concurrent.futures.process", "_hashlib")
+_PROBE = f"""
+import sys
+import taperfwm.cli
+print(sorted(m for m in {_UNUSED!r} if m in sys.modules))
+assert taperfwm.cli.main(["simulate", "-c", sys.argv[1], "-o", sys.argv[2]]) == 0
+print(sorted(m for m in {_UNUSED[:2]!r} if m in sys.modules))
+"""
+
+
+def test_simulate_loads_no_process_pool_and_no_openssl(tmp_path):
+    # the manifest's checksums load hashlib as the last step, once the run
+    # is freed; until then none of the three is loaded
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"defaults": "table1", "numerics": {"n_t": 64, "n_z": 100}}))
+    src = str(Path(taperfwm.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "manifest.json").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from taperfwm import run_source, table1_config
 from taperfwm.config import Grid, NumericsSpec, tau_max_of
-from taperfwm.jta import JointAmplitude, jta_to_jsa
+from taperfwm.jta import BLOCKS, JointAmplitude, jta_to_jsa
 from taperfwm.metrics import (
     _ec_deviation,
     arrival_times,
@@ -280,3 +280,16 @@ def test_purity_matches_svd_on_graded_matrix(rng):
 def test_purity_matches_svd_on_simulated_jta(fast_run):
     phi = fast_run.result.jta
     assert abs(heralded_purity(phi) - _svd_purity(phi.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [60, 100])
+def test_purity_matches_svd_with_ragged_tiles(rng, n):
+    # n is no multiple of BLOCKS, so the last block of columns is narrower
+    # and the tiles on the right and bottom edges are ragged; Schmidt values
+    # spread from 1 to 0.01 give every tile of A^H A a share of the sum
+    assert n % BLOCKS
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    vals = (q1 * np.logspace(0, -2, n)) @ q2
+    p = heralded_purity(_amp(vals, _grid(n)))
+    assert abs(p - _svd_purity(vals)) <= 1e-12
