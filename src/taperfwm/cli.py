@@ -136,9 +136,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_pair(args) -> int:
-    cfg1 = load_config(args.config1)
-    cfg2 = load_config(args.config2)
+def _pair(cfg1: SourceConfig, cfg2: SourceConfig, args) -> io.ArtifactWriter:
+    """Run the pair, and the optimizer if asked, and write their artifacts;
+    the store of runs is freed on return, before the manifest's checksums
+    are taken."""
     runs = {}  # the raw pair's runs, reused by the optimizer
     # a pair that evaluate_pair refuses leaves no output directory
     raw = evaluate_pair(cfg1, cfg2, runs)
@@ -163,7 +164,13 @@ def cmd_pair(args) -> int:
         writer.add(io.write_csv(writer.path("candidates.csv"), ["tau1", "tau2", "v"],
                                 opt.candidates))
     writer.add(io.write_json(doc, writer.path("pair.json")))
-    writer.finish()
+    return writer
+
+
+def cmd_pair(args) -> int:
+    cfg1 = load_config(args.config1)
+    cfg2 = load_config(args.config2)
+    _pair(cfg1, cfg2, args).finish()
     return EXIT_OK
 
 

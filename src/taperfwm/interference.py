@@ -3,13 +3,15 @@ pump-delay optimizer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .config import ConfigError, SourceConfig, tau_max_of
-from .jta import JointAmplitude
-from .metrics import arrival_times
+from .jta import BLOCKS, JointAmplitude, sum_abs2
+from .metrics import arrival_times, gram_sq
 from .spectral import omega_axis
 from .simulate import WorkerPool, run_source
 
@@ -32,15 +34,25 @@ def _check_same_grid(phi1, phi2):
         raise ValueError("joint amplitudes live on different grids")
 
 
-# _unit and rhom_visibility, the optimizer's objective, sum with np.sum:
+# _norm and rhom_visibility, the optimizer's objective, sum with np.sum:
 # np.linalg.norm and np.vdot on a whole amplitude wake the OpenBLAS thread
 # pool, whose spinning threads then compete with the source workers
-def _unit(phi: JointAmplitude) -> np.ndarray:
-    v = phi.values
-    norm = np.sqrt(np.sum(v.real**2 + v.imag**2))
+def _norm(v: np.ndarray, buf: np.ndarray) -> float:
+    """The norm of v, its re^2 and im^2 held in the real and imaginary
+    parts of buf, a complex array of v's shape."""
+    sq = np.square(v.real, out=buf.real)
+    sq += np.square(v.imag, out=buf.imag)
+    norm = np.sqrt(np.sum(sq))
     if norm == 0.0:
         raise ValueError("visibility undefined for a zero amplitude")
-    return phi.values / norm
+    return norm
+
+
+def _unit(phi: JointAmplitude, out: np.ndarray | None = None) -> np.ndarray:
+    """phi's values over their norm, in out or in a new buffer."""
+    v = phi.values
+    out = np.empty(v.shape, complex) if out is None else out
+    return np.divide(v, _norm(v, out), out=out)
 
 
 def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
@@ -48,8 +60,16 @@ def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     _check_same_grid(phi1, phi2)
     if phi1.domain != phi2.domain:
         raise ValueError("joint amplitudes must be in the same domain")
-    a, b = _unit(phi1), _unit(phi2)
-    return float(np.abs(np.sum(b.conj() * a)) ** 2)
+    # conj(b) * a for the unit amplitudes a and b, formed in one buffer,
+    # which takes conj(b) and then the product by blocks of rows of a
+    v1 = phi1.values
+    overlap = np.empty(v1.shape, complex)
+    norm1 = _norm(v1, overlap)
+    np.conjugate(_unit(phi2, out=overlap), out=overlap)
+    step = -(-v1.shape[0] // BLOCKS)
+    for j in range(0, v1.shape[0], step):
+        overlap[j:j + step] *= v1[j:j + step] / norm1
+    return float(np.abs(np.sum(overlap)) ** 2)
 
 
 def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
@@ -58,10 +78,13 @@ def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     _check_same_grid(phi1, phi2)
     if phi1.domain != "time" or phi2.domain != "time":
         raise ValueError("hhom_visibility expects time-domain amplitudes")
-    a, b = _unit(phi1), _unit(phi2)
-    # Tr(rho1 rho2) with rho = a a^H over the Signal axis is |a^H b|_F^2
-    overlap = a.conj().T @ b
-    return float(np.sum(np.abs(overlap) ** 2))
+    a, b = phi1.values, phi2.values
+    norms = sum_abs2(a) * sum_abs2(b)
+    if norms == 0.0:
+        raise ValueError("visibility undefined for a zero amplitude")
+    # Tr(rho1 rho2) with rho = a a^H over the Signal axis, for unit a and
+    # b, is |a^H b|_F^2, summed over tiles of a^H b
+    return gram_sq(a, b) / norms
 
 
 # compensating delays in a pair study can be several pulse widths; the
@@ -90,8 +113,14 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     _check_wrap(marg_s, a_s, g.dt, wrap_tol)
     _check_wrap(marg_i, a_i, g.dt, wrap_tol)
     w = omega_axis(g.n, g.dt)
-    mult = np.exp(-1j * w * a_s)[:, None] * np.exp(-1j * w * a_i)[None, :]
-    vals = np.fft.fft2(mult * np.fft.ifft2(phi.values))
+    ramp_s, ramp_i = np.exp(-1j * w * a_s), np.exp(-1j * w * a_i)
+    # one buffer: the spectrum, the ramp applied to it by blocks of rows,
+    # and the transform back in place
+    vals = np.fft.ifftn(phi.values, axes=(0, 1), out=np.empty_like(phi.values))
+    step = -(-g.n // BLOCKS)
+    for j in range(0, g.n, step):
+        vals[j:j + step] *= ramp_s[j:j + step, None] * ramp_i
+    np.fft.fftn(vals, axes=(0, 1), out=vals)
     return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
 
 
@@ -209,23 +238,53 @@ def _stencil(stored, b):
     return s[k - 1:k + 2]
 
 
+def _orthogonal_basis(points):
+    """The values at three points of 1, P1 = x - m and P2 = P1^2 - r P1 - s,
+    the polynomials of degree 0, 1 and 2 orthogonal over those points,
+    with P1(0) and P2'(0) (P1' is 1)."""
+    m = sum(points) / 3.0
+    p1 = [p - m for p in points]
+    s2 = sum(u * u for u in p1)
+    r = sum(u ** 3 for u in p1) / s2
+    p2 = [u * u - r * u - s2 / 3.0 for u in p1]
+    return [[1.0] * 3, p1, p2], -m, -2.0 * m - r
+
+
+def _quadratic_fit(v, xs, ys):
+    """The gradient (gx, gy) and Hessian (hxx, hxy, hyy) at the origin of
+    the least-squares quadratic over the values v[k][l] at (xs[k], ys[l]).
+
+    On the 3 x 3 grid the products Pi(x) Pj(y) of each axis's orthogonal
+    polynomials are orthogonal, and those of degree <= 2 span the
+    quadratics, so each coefficient is one projection, and no LAPACK
+    call is made."""
+    (bx, p1x, dp2x), (by, p1y, dp2y) = _orthogonal_basis(xs), _orthogonal_basis(ys)
+
+    def coef(i, j):
+        num = sum(v[k][l] * bx[i][k] * by[j][l] for k in range(3) for l in range(3))
+        return num / (sum(u * u for u in bx[i]) * sum(u * u for u in by[j]))
+
+    d10, d01, d20, d11, d02 = coef(1, 0), coef(0, 1), coef(2, 0), coef(1, 1), coef(0, 2)
+    gx = d10 + d20 * dp2x + d11 * p1y
+    gy = d01 + d02 * dp2y + d11 * p1x
+    return (gx, gy), (2.0 * d20, d11, 2.0 * d02)
+
+
 def _model_peak(scores, stencils, best, n):
     """The lattice point nearest the peak of the quadratic least-squares fit
     of the scores over stencils[0] x stencils[1], or None where the fit
     has no peak or a stencil point was rejected."""
-    x, y = np.meshgrid(np.subtract(stencils[0], best[0]), np.subtract(stencils[1], best[1]),
-                       indexing="ij")
-    v = np.array([[scores[i, j] for j in stencils[1]] for i in stencils[0]])
-    if not np.all(np.isfinite(v)):
+    v = [[scores[i, j] for j in stencils[1]] for i in stencils[0]]
+    if not all(map(math.isfinite, chain.from_iterable(v))):
         return None
-    x, y = x.ravel().astype(float), y.ravel().astype(float)
-    basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
-    c = np.linalg.lstsq(basis, v.ravel(), rcond=None)[0]
-    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
-    if not (hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0):
+    (gx, gy), (hxx, hxy, hyy) = _quadratic_fit(v, [i - best[0] for i in stencils[0]],
+                                               [j - best[1] for j in stencils[1]])
+    det = hxx * hyy - hxy * hxy
+    if not (hxx < 0.0 and det > 0.0):
         return None
-    step = np.linalg.solve(hess, -c[1:3])
-    return tuple(round(min(max(b + float(d), 0.0), float(n))) for b, d in zip(best, step))
+    # the Newton step, -H^-1 g
+    step = ((hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det)
+    return tuple(round(min(max(b + d, 0.0), float(n))) for b, d in zip(best, step))
 
 
 def _halves(stored, b):

@@ -28,6 +28,33 @@ class MetricsReport:
         return asdict(self)
 
 
+def gram_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """|A^H B|_F^2 of two matrices of one shape, B = A if b is None, with
+    no product of their size.
+
+    A^H B is formed by tiles A_I^H B_J of blocks of columns, each written
+    into one buffer, as is conj(A_I) (copied, then conjugated in place,
+    which takes no ufunc buffer), so that BLAS packs only small panels;
+    A^H A is Hermitian, so each of its tiles above the diagonal counts
+    twice and none below it is formed."""
+    same = b is None
+    b = a if same else b
+    rows, n = a.shape
+    step = -(-n // BLOCKS)
+    left_buf, tile_buf = np.empty(rows * step, complex), np.empty(step * step, complex)
+    total = 0.0
+    for i in range(0, n, step):
+        q = min(step, n - i)
+        left = left_buf[:rows * q].reshape(rows, q)
+        np.copyto(left, a[:, i:i + q])
+        left = np.conjugate(left, out=left).T
+        for j in range(i if same else 0, n, step):
+            r = min(step, n - j)
+            tile = np.matmul(left, b[:, j:j + r], out=tile_buf[:q * r].reshape(q, r))
+            total += (2.0 if same and j != i else 1.0) * sum_abs2(tile)
+    return total
+
+
 def heralded_purity(phi: JointAmplitude) -> float:
     """Sum of fourth powers of the normalized Schmidt values,
     Tr((A^H A)^2) / Tr(A^H A)^2 = |A^H A|_F^2 / |A|_F^4, with no SVD."""
@@ -35,24 +62,7 @@ def heralded_purity(phi: JointAmplitude) -> float:
     norm_sq = sum_abs2(a)
     if norm_sq == 0.0:
         raise ValueError("purity undefined for a zero amplitude")
-    # A^H A by tiles A_I^H A_J of blocks of columns, each written into one
-    # buffer, as is conj(A_I) (copied, then conjugated in place, which takes
-    # no ufunc buffer), so that BLAS packs only small panels; A^H A is
-    # Hermitian, so each tile above its diagonal counts twice
-    rows, n = a.shape
-    step = -(-n // BLOCKS)
-    left_buf, tile_buf = np.empty(rows * step, complex), np.empty(step * step, complex)
-    gram_sq = 0.0
-    for i in range(0, n, step):
-        q = min(step, n - i)
-        left = left_buf[:rows * q].reshape(rows, q)
-        np.copyto(left, a[:, i:i + q])
-        left = np.conjugate(left, out=left).T
-        for j in range(i, n, step):
-            r = min(step, n - j)
-            tile = np.matmul(left, a[:, j:j + r], out=tile_buf[:q * r].reshape(q, r))
-            gram_sq += (1.0 if j == i else 2.0) * sum_abs2(tile)
-    return gram_sq / norm_sq**2
+    return gram_sq(a) / norm_sq**2
 
 
 def _spectral_marginals(phi: JointAmplitude):

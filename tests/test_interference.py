@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from taperfwm import interference, run_source, table1_config
-from taperfwm.config import ConfigError, tau_max_of
+from taperfwm.config import ConfigError, Grid, NumericsSpec, tau_max_of
 from taperfwm.interference import (
     align_arrival_times,
     apply_time_shift,
@@ -17,7 +17,7 @@ from taperfwm.interference import (
     optimize_delays,
     rhom_visibility,
 )
-from taperfwm.jta import JointAmplitude
+from taperfwm.jta import BLOCKS, JointAmplitude
 from taperfwm.metrics import arrival_times, heralded_purity
 from taperfwm import simulate
 
@@ -239,6 +239,71 @@ def test_hhom_matches_density_matrix_trace(fast_run, rng):
     assert abs(hhom_visibility(phi, other) - trace) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [60, 100])
+def test_hhom_matches_blas_product_with_ragged_tiles(rng, n):
+    # n is no multiple of BLOCKS, so the last block of columns is narrower
+    # and the tiles of a^H b on the right and bottom edges are ragged;
+    # Schmidt values spread from 1 to 0.01, and b a perturbed a, give
+    # every tile a share of the sum
+    assert n % BLOCKS
+    grid = Grid.from_numerics(NumericsSpec(n_t=n, t_window=(-8.0, 8.0)))
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a = (q1 * np.logspace(0, -2, n)) @ q2
+    b = a + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    ref = np.sum(np.abs(a.conj().T @ b) ** 2) / (np.sum(np.abs(a) ** 2) * np.sum(np.abs(b) ** 2))
+    assert abs(hhom_visibility(_amp(a, grid), _amp(b, grid)) - ref) <= 1e-12
+
+
+def _lstsq_fit(v, xs, ys):
+    """The gradient and Hessian at the origin of the least-squares
+    quadratic over v, from np.linalg.lstsq on the monomial basis."""
+    x, y = (g.ravel().astype(float) for g in np.meshgrid(xs, ys, indexing="ij"))
+    basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
+    c = np.linalg.lstsq(basis, np.ravel(v), rcond=None)[0]
+    return (c[1], c[2]), (2.0 * c[3], c[4], 2.0 * c[5])
+
+
+def _lstsq_peak(v, stencils, best, n):
+    """The lattice point of the lstsq fit's peak, by np.linalg.det and
+    np.linalg.solve, or None where the fit has no peak."""
+    (gx, gy), (hxx, hxy, hyy) = _lstsq_fit(v, *(np.subtract(s, b) for s, b in zip(stencils, best)))
+    hess = np.array([[hxx, hxy], [hxy, hyy]])
+    if not (hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0):
+        return None
+    step = np.linalg.solve(hess, [-gx, -gy])
+    return tuple(round(min(max(b + float(d), 0.0), float(n))) for b, d in zip(best, step))
+
+
+def test_closed_form_fit_matches_lstsq(rng):
+    # stencils as _stencil forms them: best and two other lattice points
+    # per axis, up to 40 cells away on either side, over scores of a
+    # random quadratic with noise, peaked or not
+    n = LATTICE_CELLS
+    offsets = [d for d in range(-40, 41) if d]
+    peaks = 0
+    for _ in range(2000):
+        best = tuple(int(b) for b in rng.integers(40, n - 40, size=2))
+        stencils = [sorted([b, *(b + int(d) for d in rng.choice(offsets, 2, replace=False))])
+                    for b in best]
+        xs, ys = (np.subtract(s, b) for s, b in zip(stencils, best))
+        h = np.abs(rng.normal(scale=1e-3, size=3)) * (-1.0, 0.5, -1.0)
+        g = rng.normal(scale=1e-2, size=2)
+        v = [[0.9 + g[0] * x + g[1] * y + (h[0] * x * x + 2 * h[1] * x * y + h[2] * y * y) / 2
+              + rng.normal(scale=1e-3) for y in ys] for x in xs]
+        grad, hess = interference._quadratic_fit(v, list(xs), list(ys))
+        ref_grad, ref_hess = _lstsq_fit(v, xs, ys)
+        assert np.max(np.abs(np.subtract(grad, ref_grad))) <= 1e-10 * np.max(np.abs(ref_grad))
+        assert np.max(np.abs(np.subtract(hess, ref_hess))) <= 1e-10 * np.max(np.abs(ref_hess))
+        scores = {(i, j): v[k][m] for k, i in enumerate(stencils[0])
+                  for m, j in enumerate(stencils[1])}
+        peak = interference._model_peak(scores, stencils, best, n)
+        assert peak == _lstsq_peak(v, stencils, best, n)
+        peaks += peak is not None
+    # both branches are taken many times
+    assert 200 <= peaks <= 1800
+
+
 def test_optimizer_runs_no_metrics(monkeypatch, fast_cfg):
     from taperfwm import simulate
 
@@ -458,6 +523,25 @@ def test_optimum_is_a_lattice_local_maximum(monkeypatch):
     for cell in neighbours:
         if 0 <= min(cell) and max(cell) <= LATTICE_CELLS:
             assert scores[cell] <= scores[best]
+
+
+def test_optimizer_makes_no_lapack_call(monkeypatch):
+    # the local model is fitted and solved by hand: with np.linalg's
+    # least squares, solve and det refused, the search still finds the
+    # optimum that the lstsq fit found, after as many runs and candidates
+    def refused(*args, **kwargs):
+        raise AssertionError("the optimizer called LAPACK")
+
+    for name in ("lstsq", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    _serial(monkeypatch)
+    cfg2 = MOVING_PAIR.replace(geometry={"width_offset": 60e-9})
+    study = optimize_delays(MOVING_PAIR, cfg2)
+    best = (_lattice_index(study.optimal_tau1, MOVING_PAIR), _lattice_index(study.optimal_tau2, cfg2))
+    assert best == (49, 94)
+    assert (study.source_runs, len(study.candidates)) == (26, 169)
+    assert sum(c[2] == -np.inf for c in study.candidates) == 18
+    assert study.v_rhom == pytest.approx(0.9949231037813272, abs=1e-12)
 
 
 def test_unrelated_run_in_the_store_changes_nothing(monkeypatch):

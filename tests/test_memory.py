@@ -1,9 +1,9 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
-buffers: the CJM1 dump, the metrics, the pump trace and the JTA stepper
-hold no full-size copy they do not need, and no run, its pump dump
-included, stores the pump midpoints.  A simulate also loads no module it
-does not run, which tracemalloc cannot see, so that is checked in a fresh
-interpreter."""
+buffers: the CJM1 dump, the metrics, the pump trace, the JTA stepper and
+a scored optimizer candidate hold no full-size copy they do not need,
+and no run, its pump dump included, stores the pump midpoints.  A
+simulate also loads no module it does not run, which tracemalloc cannot
+see, so that is checked in a fresh interpreter."""
 
 import dataclasses
 import json
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import taperfwm
-from taperfwm import io, jta, run_source, table1_config
+from taperfwm import interference, io, jta, run_source, table1_config
 from taperfwm.cli import main
 from taperfwm.metrics import compute_metrics
 from taperfwm.pumps import midpoints, propagate_pumps
@@ -141,6 +141,26 @@ def test_evolve_jta_peak(run, cfg, monkeypatch):
     # the state, one block temporary per thread and O(n * n_z) more
     assert peak <= state + 2 * jta._BLOCK ** 2 * 16 + n * n_z * 16
     assert np.array_equal(result.jta.values, run.result.jta.values)
+
+
+def test_scored_rhom_candidate_peak():
+    # one candidate of the optimizer at n_t = 128, the pair benchmark's
+    # grid: source 2 shifted in one buffer, and the overlap in one more,
+    # which takes conj(b) and then the product by blocks of rows of a;
+    # measured 2.13 states, where the whole-array ramp, unit copies and
+    # product read 4.01
+    cfg = table1_config(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.1e-6})
+    phi1 = run_source(cfg).result.jta
+    phi2 = run_source(cfg.replace(pump={"tau": 1.3e-12}, geometry={"width_offset": 60e-9})).result.jta
+    for phi in (phi1, phi2):
+        phi.marginals  # formed once per stored run, before its candidates
+    (vis, _, _), peak, _ = _traced(lambda: interference._pair_visibilities(
+        phi1, phi2, cfg.pump.t0_fwhm, kinds=("rhom",)))
+    assert peak <= 2.25 * phi1.values.nbytes
+    shifted = interference.align_arrival_times(phi1, phi2, cfg.pump.t0_fwhm)[0].values
+    ref = abs(np.vdot(shifted, phi1.values)) ** 2 / (
+        np.vdot(shifted, shifted).real * np.vdot(phi1.values, phi1.values).real)
+    assert vis["rhom"] == pytest.approx(ref, rel=1e-12)
 
 
 def test_simulate_dumps_the_final_jta_and_its_jsa(run, tmp_path):
