@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import sys
 import warnings
-from itertools import chain
 
 import numpy as np
 
@@ -60,17 +59,6 @@ def _dump_pumps(writer: io.ArtifactWriter, trace):
                                           writer.path(f"pumps_z{k:05d}.csv")))
 
 
-def _snapshot_jsas(writer: io.ArtifactWriter, snapshots: list, final_jsa: JointAmplitude,
-                   dump_jsa: bool):
-    """Each snapshot's JSA, dumped as asked and released before the next is
-    built; the last snapshot is the final state, whose JSA is final_jsa."""
-    for k, jsa in enumerate(chain(map(jta_to_jsa, snapshots[:-1]), [final_jsa])):
-        if dump_jsa:
-            _dump(writer, f"snapshot_{k:03d}_jsa", jsa)
-        yield jsa
-        del jsa
-
-
 def _simulate(writer: io.ArtifactWriter, cfg: SourceConfig, args):
     """Run cfg and write its artifacts; the run, its JTA and its JSA are
     freed on return, before the manifest's checksums are taken."""
@@ -85,17 +73,18 @@ def _simulate(writer: io.ArtifactWriter, cfg: SourceConfig, args):
         _dump(writer, "final_jta", final)
         for k, snap in enumerate(snapshots):
             _dump(writer, f"snapshot_{k:03d}_jta", snap)
-    if args.dump_jsa or snapshots:
-        # the metrics and the dumps above were the final JTA's last readers:
-        # its buffer takes the final JSA
-        jsa = jta_to_jsa(final, out=final.values)
-        if args.dump_jsa:
-            _dump(writer, "final_jsa", jsa)
     if snapshots:
-        zs, w_axis, spec = spectral_cumulative(_snapshot_jsas(writer, snapshots, jsa,
-                                                              args.dump_jsa))
+        zs, w_axis, spec = spectral_cumulative(snapshots)
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
+    if args.dump_jsa:
+        # the metrics, the dumps and the map above were the final JTA's last
+        # readers: its buffer takes the final JSA, which is also the last
+        # snapshot's; each other snapshot's JSA is released after its dump
+        jsa = jta_to_jsa(final, out=final.values)
+        _dump(writer, "final_jsa", jsa)
+        for k, snap in enumerate(snapshots):
+            _dump(writer, f"snapshot_{k:03d}_jsa", jsa if snap is final else jta_to_jsa(snap))
 
 
 def cmd_simulate(args) -> int:

@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 
 from .config import ConfigError, SourceConfig, tau_max_of
-from .jta import BLOCKS, JointAmplitude, sum_abs2
+from .jta import JointAmplitude, row_blocks, sum_abs2
 from .metrics import arrival_times, gram_sq
 from .spectral import omega_axis
 from .simulate import WorkerPool, run_source
@@ -34,42 +34,21 @@ def _check_same_grid(phi1, phi2):
         raise ValueError("joint amplitudes live on different grids")
 
 
-# _norm and rhom_visibility, the optimizer's objective, sum with np.sum:
-# np.linalg.norm and np.vdot on a whole amplitude wake the OpenBLAS thread
-# pool, whose spinning threads then compete with the source workers
-def _norm(v: np.ndarray, buf: np.ndarray) -> float:
-    """The norm of v, its re^2 and im^2 held in the real and imaginary
-    parts of buf, a complex array of v's shape."""
-    sq = np.square(v.real, out=buf.real)
-    sq += np.square(v.imag, out=buf.imag)
-    norm = np.sqrt(np.sum(sq))
-    if norm == 0.0:
-        raise ValueError("visibility undefined for a zero amplitude")
-    return norm
-
-
-def _unit(phi: JointAmplitude, out: np.ndarray | None = None) -> np.ndarray:
-    """phi's values over their norm, in out or in a new buffer."""
-    v = phi.values
-    out = np.empty(v.shape, complex) if out is None else out
-    return np.divide(v, _norm(v, out), out=out)
-
-
 def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
-    """Two-photon indistinguishability |<phi2|phi1>|^2."""
+    """Two-photon indistinguishability |<phi2|phi1>|^2 of the normalized
+    amplitudes."""
     _check_same_grid(phi1, phi2)
     if phi1.domain != phi2.domain:
         raise ValueError("joint amplitudes must be in the same domain")
-    # conj(b) * a for the unit amplitudes a and b, formed in one buffer,
-    # which takes conj(b) and then the product by blocks of rows of a
-    v1 = phi1.values
-    overlap = np.empty(v1.shape, complex)
-    norm1 = _norm(v1, overlap)
-    np.conjugate(_unit(phi2, out=overlap), out=overlap)
-    step = -(-v1.shape[0] // BLOCKS)
-    for j in range(0, v1.shape[0], step):
-        overlap[j:j + step] *= v1[j:j + step] / norm1
-    return float(np.abs(np.sum(overlap)) ** 2)
+    a, b = phi1.values, phi2.values
+    norms = sum_abs2(a) * sum_abs2(b)
+    if norms == 0.0:
+        raise ValueError("visibility undefined for a zero amplitude")
+    # <b|a> summed with np.sum by blocks of rows: np.linalg.norm and
+    # np.vdot on a whole amplitude wake the OpenBLAS thread pool, whose
+    # spinning threads then compete with the source workers
+    overlap = sum(np.sum(np.conjugate(b[s]) * a[s]) for s in row_blocks(a.shape[0]))
+    return float(abs(overlap) ** 2 / norms)
 
 
 def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
@@ -117,9 +96,8 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     # one buffer: the spectrum, the ramp applied to it by blocks of rows,
     # and the transform back in place
     vals = np.fft.ifftn(phi.values, axes=(0, 1), out=np.empty_like(phi.values))
-    step = -(-g.n // BLOCKS)
-    for j in range(0, g.n, step):
-        vals[j:j + step] *= ramp_s[j:j + step, None] * ramp_i
+    for s in row_blocks(g.n):
+        vals[s] *= ramp_s[s, None] * ramp_i
     np.fft.fftn(vals, axes=(0, 1), out=vals)
     return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
 

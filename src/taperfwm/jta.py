@@ -34,15 +34,20 @@ def sum_abs2(a: np.ndarray) -> float:
 BLOCKS = 8
 
 
+def row_blocks(n: int) -> list:
+    """The BLOCKS slices that cover range(n), the last one ragged."""
+    step = -(-n // BLOCKS)
+    return [slice(j, min(j + step, n)) for j in range(0, n, step)]
+
+
 def abs2_sums(a: np.ndarray):
     """The row sums and the column sums of |a|^2 of a complex matrix,
-    formed by blocks of rows (see BLOCKS)."""
-    step = -(-a.shape[0] // BLOCKS)
+    formed by blocks of rows (see row_blocks)."""
     rows, cols = np.empty(a.shape[0]), np.zeros(a.shape[1])
-    for j in range(0, a.shape[0], step):
-        inten = np.abs(a[j:j + step])
+    for s in row_blocks(a.shape[0]):
+        inten = np.abs(a[s])
         inten *= inten
-        rows[j:j + step] = inten.sum(axis=1)
+        rows[s] = inten.sum(axis=1)
         cols += inten.sum(axis=0)
     return rows, cols
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import C_LIGHT, DispersionSet, SourceConfig
-from .jta import BLOCKS, JointAmplitude, SimulationResult, abs2_sums, sum_abs2
+from .jta import JointAmplitude, SimulationResult, abs2_sums, row_blocks, sum_abs2
 from .spectral import omega_axis
 
 
@@ -40,18 +40,19 @@ def gram_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
     same = b is None
     b = a if same else b
     rows, n = a.shape
-    step = -(-n // BLOCKS)
+    blocks = row_blocks(n)
+    step = blocks[0].stop
     left_buf, tile_buf = np.empty(rows * step, complex), np.empty(step * step, complex)
     total = 0.0
-    for i in range(0, n, step):
-        q = min(step, n - i)
+    for i, si in enumerate(blocks):
+        q = si.stop - si.start
         left = left_buf[:rows * q].reshape(rows, q)
-        np.copyto(left, a[:, i:i + q])
+        np.copyto(left, a[:, si])
         left = np.conjugate(left, out=left).T
-        for j in range(i if same else 0, n, step):
-            r = min(step, n - j)
-            tile = np.matmul(left, b[:, j:j + r], out=tile_buf[:q * r].reshape(q, r))
-            total += (2.0 if same and j != i else 1.0) * sum_abs2(tile)
+        for sj in blocks[i:] if same else blocks:
+            r = sj.stop - sj.start
+            tile = np.matmul(left, b[:, sj], out=tile_buf[:q * r].reshape(q, r))
+            total += (2.0 if same and sj is not si else 1.0) * sum_abs2(tile)
     return total
 
 
@@ -73,12 +74,10 @@ def _spectral_marginals(phi: JointAmplitude):
     The transform along the summed axis is unitary up to that factor, and
     the time-origin phases drop out of |.|^2, so neither is taken."""
     a = phi.values
-    n = a.shape[0]
-    step = -(-n // BLOCKS)
-    ms, mi = np.zeros(n), np.zeros(n)
-    for j in range(0, n, step):
-        ms += abs2_sums(np.fft.ifft(a[:, j:j + step], axis=0))[0]
-        mi += abs2_sums(np.fft.ifft(a[j:j + step], axis=1))[1]
+    ms, mi = np.zeros(a.shape[0]), np.zeros(a.shape[1])
+    for s in row_blocks(a.shape[0]):
+        ms += abs2_sums(np.fft.ifft(a[:, s], axis=0))[0]
+        mi += abs2_sums(np.fft.ifft(a[s], axis=1))[1]
     return ms, mi
 
 
@@ -129,28 +128,23 @@ def _ec_deviation(dlam_s: float, dlam_i: float, disp: DispersionSet) -> float:
     return dlam_i - dlam_i_ec
 
 
-def _idler_spectrum(jsa: JointAmplitude):
-    if jsa.domain != "frequency":
-        raise ValueError("spectral_cumulative expects frequency-domain amplitudes")
-    return jsa.z, jsa.grid, jsa.marginals[1] * jsa.grid.dw
-
-
 def spectral_cumulative(snapshots):
     """Per-z Idler marginal intensity of the evolving joint spectrum.
 
-    snapshots is any iterable of JSAs; each is released before the next is
-    drawn.  Returns (z_nodes, w_axis, map) with map[k] the Idler spectral
-    intensity at snapshot k, peak-normalized over the whole map.
+    snapshots is a list of JTAs.  Returns (z_nodes, w_axis, map) with map[k] the
+    Idler marginal of snapshot k's JSA on the sorted grid.w_axis,
+    peak-normalized over the whole map: read from 1-D transforms of blocks
+    of the JTA (see _spectral_marginals), with no JSA, and fftshifted.
     """
-    rows = list(map(_idler_spectrum, snapshots))
-    if len(rows) < 2:
+    if any(phi.domain != "time" for phi in snapshots):
+        raise ValueError("spectral_cumulative expects time-domain amplitudes")
+    if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    zs, grids, spectra = zip(*rows)
-    out = np.asarray(spectra)
+    out = np.asarray([np.fft.fftshift(_spectral_marginals(phi)[1]) for phi in snapshots])
     peak = out.max()
     if peak > 0:
         out = out / peak
-    return np.asarray(zs), grids[0].w_axis, out
+    return np.array([phi.z for phi in snapshots]), snapshots[0].grid.w_axis, out
 
 
 def compute_metrics(result: SimulationResult, cfg: SourceConfig) -> MetricsReport:

@@ -92,6 +92,18 @@ def test_snapshot_jsas_are_built_once(cfg_path, tmp_path, monkeypatch):
     assert (out / "snapshot_003_jsa.cjm1").read_bytes() == (out / "final_jsa.cjm1").read_bytes()
 
 
+def test_spectral_map_does_not_depend_on_the_jsa_dump(cfg_path, tmp_path):
+    # the map reads the snapshot JTAs, the last of which is the final state,
+    # before the final JSA takes that state's buffer
+    maps = []
+    for name, extra in (("plain", []), ("dumped", ["--dump-jsa"])):
+        out = tmp_path / name
+        assert main(["simulate", "-c", str(cfg_path), "-o", str(out), "--snapshots", "4",
+                     *extra]) == 0
+        maps.append((out / "spectral_map.csv").read_bytes())
+    assert maps[0] == maps[1]
+
+
 def test_dump_pumps_writes_the_ends_of_the_run_trace(cfg_path, tmp_path, monkeypatch):
     # the dump reads the trace the run stepped its pumps through, which
     # keeps its two ends and no midpoints

@@ -1,9 +1,9 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
-buffers: the CJM1 dump, the metrics, the pump trace, the JTA stepper and
-a scored optimizer candidate hold no full-size copy they do not need,
-and no run, its pump dump included, stores the pump midpoints.  A
-simulate also loads no module it does not run, which tracemalloc cannot
-see, so that is checked in a fresh interpreter."""
+buffers: the CJM1 dump, the metrics, the pump trace, the JTA stepper, the
+spectral map and a scored optimizer candidate hold no full-size copy they
+do not need, and no run, its pump dump included, stores the pump
+midpoints.  A simulate also loads no module it does not run, which
+tracemalloc cannot see, so that is checked in a fresh interpreter."""
 
 import dataclasses
 import json
@@ -20,7 +20,7 @@ import pytest
 import taperfwm
 from taperfwm import interference, io, jta, run_source, table1_config
 from taperfwm.cli import main
-from taperfwm.metrics import compute_metrics
+from taperfwm.metrics import compute_metrics, spectral_cumulative
 from taperfwm.pumps import midpoints, propagate_pumps
 
 GRID = {"n_t": 256, "n_z": 100}
@@ -145,10 +145,10 @@ def test_evolve_jta_peak(run, cfg, monkeypatch):
 
 def test_scored_rhom_candidate_peak():
     # one candidate of the optimizer at n_t = 128, the pair benchmark's
-    # grid: source 2 shifted in one buffer, and the overlap in one more,
-    # which takes conj(b) and then the product by blocks of rows of a;
-    # measured 2.13 states, where the whole-array ramp, unit copies and
-    # product read 4.01
+    # grid: source 2 shifted in one buffer, and the overlap <b|a> summed by
+    # blocks of rows, with no buffer of its own; measured 1.40 states,
+    # where an overlap buffer of the state's size read 2.13 and the
+    # whole-array ramp, unit copies and product 4.01
     cfg = table1_config(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.1e-6})
     phi1 = run_source(cfg).result.jta
     phi2 = run_source(cfg.replace(pump={"tau": 1.3e-12}, geometry={"width_offset": 60e-9})).result.jta
@@ -156,11 +156,22 @@ def test_scored_rhom_candidate_peak():
         phi.marginals  # formed once per stored run, before its candidates
     (vis, _, _), peak, _ = _traced(lambda: interference._pair_visibilities(
         phi1, phi2, cfg.pump.t0_fwhm, kinds=("rhom",)))
-    assert peak <= 2.25 * phi1.values.nbytes
+    assert peak <= 1.5 * phi1.values.nbytes
     shifted = interference.align_arrival_times(phi1, phi2, cfg.pump.t0_fwhm)[0].values
     ref = abs(np.vdot(shifted, phi1.values)) ** 2 / (
         np.vdot(shifted, shifted).real * np.vdot(phi1.values, phi1.values).real)
     assert vis["rhom"] == pytest.approx(ref, rel=1e-12)
+
+
+def test_spectral_map_builds_no_jsa(cfg):
+    # the map of 6 snapshots reads each one's Idler spectrum from 1-D
+    # transforms of blocks of its JTA (see metrics._spectral_marginals):
+    # measured 0.16 of one state, where each snapshot's JSA would be a
+    # whole state more
+    snaps = run_source(cfg, snapshots=6).result.snapshots
+    (_, _, smap), peak, _ = _traced(lambda: spectral_cumulative(snaps))
+    assert peak <= snaps[0].values.nbytes / 4
+    assert smap.shape == (6, GRID["n_t"])
 
 
 def test_simulate_dumps_the_final_jta_and_its_jsa(run, tmp_path):

@@ -225,7 +225,7 @@ def test_spectral_cumulative_growth():
         dispersion={"alpha_s": 1e-12, "alpha_i": 1e-12},
     )
     out = run_source(cfg, snapshots=8)
-    zs, w_axis, smap = spectral_cumulative(map(jta_to_jsa, out.result.snapshots))
+    zs, w_axis, smap = spectral_cumulative(out.result.snapshots)
     assert smap.shape == (len(zs), 64)
     totals = smap.sum(axis=1)
     assert np.all(np.diff(totals) >= -1e-10 * totals.max())
@@ -237,12 +237,25 @@ def test_spectral_cumulative_growth():
 
 def test_spectral_cumulative_needs_snapshots(fast_run):
     with pytest.raises(ValueError, match="two snapshots"):
-        spectral_cumulative(map(jta_to_jsa, fast_run.result.snapshots[:1]))
+        spectral_cumulative(fast_run.result.snapshots[:1])
 
 
-def test_frequency_metrics_refuse_a_jta(fast_run):
-    with pytest.raises(ValueError, match="frequency-domain"):
-        spectral_cumulative(fast_run.result.snapshots)
+def test_spectral_map_refuses_a_jsa(fast_run):
+    with pytest.raises(ValueError, match="time-domain"):
+        spectral_cumulative([jta_to_jsa(s) for s in fast_run.result.snapshots[:2]])
+
+
+def test_spectral_map_is_that_of_the_jsas(fast_run):
+    # the map reads each snapshot's Idler spectrum from 1-D transforms of
+    # blocks of its JTA; built from each snapshot's whole JSA instead, on
+    # the sorted frequency axis, it is the same map
+    snaps = fast_run.result.snapshots
+    zs, w_axis, smap = spectral_cumulative(snaps)
+    ref = np.array([jta_to_jsa(s).marginals[1] for s in snaps])
+    ref /= ref.max()
+    assert np.array_equal(zs, [s.z for s in snaps])
+    assert np.array_equal(w_axis, snaps[0].grid.w_axis)
+    assert np.max(np.abs(smap - ref)) <= 1e-12
 
 
 def test_mean_shift_of_a_jta_is_that_of_its_jsa(fast_run):
