@@ -28,22 +28,25 @@ class PairStudy:
     source_runs: int = 0          # source simulations the optimizer made
 
 
-def _check_same_grid(phi1, phi2):
+def _norms(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
+    """|phi1|^2 |phi2|^2, by which both visibilities normalise, of two JTAs
+    on one grid: a JSA, a foreign grid and a zero amplitude are refused."""
     g1, g2 = phi1.grid, phi2.grid
     if g1.n != g2.n or abs(g1.dt - g2.dt) > 1e-15 or abs(g1.t_axis[0] - g2.t_axis[0]) > 1e-12:
         raise ValueError("joint amplitudes live on different grids")
+    if phi1.domain != "time" or phi2.domain != "time":
+        raise ValueError("visibilities expect time-domain amplitudes")
+    norms = sum_abs2(phi1.values) * sum_abs2(phi2.values)
+    if norms == 0.0:
+        raise ValueError("visibility undefined for a zero amplitude")
+    return norms
 
 
 def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     """Two-photon indistinguishability |<phi2|phi1>|^2 of the normalized
     amplitudes."""
-    _check_same_grid(phi1, phi2)
-    if phi1.domain != phi2.domain:
-        raise ValueError("joint amplitudes must be in the same domain")
+    norms = _norms(phi1, phi2)
     a, b = phi1.values, phi2.values
-    norms = sum_abs2(a) * sum_abs2(b)
-    if norms == 0.0:
-        raise ValueError("visibility undefined for a zero amplitude")
     # <b|a> summed with np.sum by blocks of rows: np.linalg.norm and
     # np.vdot on a whole amplitude wake the OpenBLAS thread pool, whose
     # spinning threads then compete with the source workers
@@ -54,16 +57,10 @@ def rhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
 def hhom_visibility(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     """Heralded Hong-Ou-Mandel visibility |Tr(rho1 rho2)| of the heralded
     Signal states."""
-    _check_same_grid(phi1, phi2)
-    if phi1.domain != "time" or phi2.domain != "time":
-        raise ValueError("hhom_visibility expects time-domain amplitudes")
-    a, b = phi1.values, phi2.values
-    norms = sum_abs2(a) * sum_abs2(b)
-    if norms == 0.0:
-        raise ValueError("visibility undefined for a zero amplitude")
+    norms = _norms(phi1, phi2)
     # Tr(rho1 rho2) with rho = a a^H over the Signal axis, for unit a and
     # b, is |a^H b|_F^2, summed over tiles of a^H b
-    return gram_sq(a, b) / norms
+    return gram_sq(phi1.values, phi2.values) / norms
 
 
 # compensating delays in a pair study can be several pulse widths; the

@@ -83,9 +83,9 @@ class JointAmplitude:
     def marginals(self):
         """The Signal and Idler intensity marginals, sum |phi|^2 over the
         other axis, in the amplitude's own domain: formed on first access
-        and kept, by blocks of rows (see abs2_sums).  Nothing writes to
-        values in place after that (evolve_jta wraps its state only after
-        the last step); a write would leave the kept marginals stale."""
+        and kept, by blocks of rows (see abs2_sums).  evolve_jta wraps its
+        state only after the last step; the one write to values after that,
+        jta_to_jsa(phi, out=phi.values), drops the kept marginals."""
         return abs2_sums(self.values)
 
 
@@ -99,7 +99,7 @@ def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> JointAmpli
     time origin at each sorted frequency.  The transform fills out, a
     complex n x n buffer, or a new one, and works on it in place.  out may
     be phi.values itself, which then holds the JSA: only the owner of phi
-    may pass it, after the JTA's last reader.
+    may pass it, after the JTA's last reader; phi's kept marginals go.
     """
     if phi.domain != "time":
         raise ValueError("jta_to_jsa expects a time-domain amplitude")
@@ -108,6 +108,8 @@ def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> JointAmpli
         raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
     sign = np.resize([1.0, -1.0], g.n)
     factor = (g.n * g.dt / np.sqrt(2.0 * np.pi)) * np.exp(1j * g.w_axis * g.t_axis[0])
+    if out is phi.values:
+        phi.__dict__.pop("marginals", None)
     spec = np.multiply(phi.values, sign[:, None], out=out, dtype=complex)
     spec *= sign[None, :]
     np.fft.ifftn(spec, axes=(0, 1), out=spec)
@@ -170,10 +172,6 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-# the smallest n_t whose z-steps are shared among threads: on smaller grids
-# the hand-offs between threads cost more than the shared passes save
-_THREADS_MIN_N = 512
-
 # rows of a block of a z-step's passes, and the side of a block of its
 # transpose: 64, 128 and 256 measured alike at n_t = 128, 256 and 512, 32
 # was slower at 512 and one whole-state block slower still; 128 keeps each
@@ -182,12 +180,12 @@ _BLOCK = 128
 
 
 def _thread_count(n: int) -> int:
-    """Threads of one z-step on an n x n grid: one per usable CPU from
-    n = _THREADS_MIN_N on, except in a pool's worker process, whose sibling
-    workers hold the other CPUs; otherwise one.  A worker runs in
+    """Threads of one z-step on an n x n grid: one per usable CPU from two
+    row blocks (n > _BLOCK) on, except in a pool's worker process, whose
+    sibling workers hold the other CPUs; otherwise one.  A worker runs in
     multiprocessing, so a process that never imported it is none."""
     mp = sys.modules.get("multiprocessing")
-    if n < _THREADS_MIN_N or (mp is not None and mp.parent_process() is not None):
+    if n <= _BLOCK or (mp is not None and mp.parent_process() is not None):
         return 1
     return worker_count()
 
@@ -235,10 +233,11 @@ def evolve_jta(
     n = num.n_t
     n_z, h, dt = pump_trace.n_z, pump_trace.h, grid.dt
 
-    # per axis, 0 the Signal and 1 the Idler
+    # per axis, 0 the Signal and 1 the Idler; the inverse transforms run
+    # unscaled, and their 1/n, a power of two, scales these exactly
     ls, li = linear_exponents(cfg, grid, ("s", "i"))
-    full = (np.exp(h * ls), np.exp(h * li))
-    half = (np.exp(0.5 * h * ls), np.exp(0.5 * h * li))
+    full = (np.exp(h * ls) / n, np.exp(h * li) / n)
+    half = (np.exp(0.5 * h * ls) / n, np.exp(0.5 * h * li) / n)
 
     sigma = rp.alpha_m["s"] + rp.alpha_m["i"]
     decay_half = np.exp(-sigma * h / 2.0)
@@ -283,7 +282,7 @@ def evolve_jta(
         # along each row of a: to frequency, times mult, back, times phase
         def rows(s):
             v = a[s]
-            np.fft.ifft(v, axis=1, out=v)
+            np.fft.ifft(v, axis=1, norm="forward", out=v)
             v *= mult
             np.fft.fft(v, axis=1, out=v)
             if phase is not None:
@@ -322,8 +321,9 @@ def evolve_jta(
         for k, (a1, a2, src_diag) in enumerate(step_drives(cfg, pump_trace)):
             xpm = (None, None)
             if nl_on:
-                ns = 2.0 * (d.gamma_11ss * np.abs(a1) ** 2 + d.gamma_22ss * np.abs(a2) ** 2)
-                ni = 2.0 * (d.gamma_11ii * np.abs(a1) ** 2 + d.gamma_22ii * np.abs(a2) ** 2)
+                p1, p2 = np.abs(a1) ** 2, np.abs(a2) ** 2
+                ns = 2.0 * (d.gamma_11ss * p1 + d.gamma_22ss * p2)
+                ni = 2.0 * (d.gamma_11ii * p1 + d.gamma_22ii * p2)
                 xpm = (np.exp(1j * h * ns), np.exp(1j * h * ni))
             along = pass_pair(state, along, full, xpm)
 

@@ -66,40 +66,33 @@ def heralded_purity(phi: JointAmplitude) -> float:
     return gram_sq(a) / norm_sq**2
 
 
-def _spectral_marginals(phi: JointAmplitude):
-    """The Signal and Idler marginals of a JTA's JSA, on the unshifted
-    frequency axis (spectral.omega_axis) and up to one constant factor,
-    with no n x n array: the 1-D transforms of blocks of columns, summed
-    over the Idler axis, and of blocks of rows, summed over the Signal axis.
-    The transform along the summed axis is unitary up to that factor, and
-    the time-origin phases drop out of |.|^2, so neither is taken."""
+def _spectral_marginal(phi: JointAmplitude, axis: int) -> np.ndarray:
+    """The marginal along `axis` (0 the Signal, 1 the Idler) of a JTA's
+    JSA, on the unshifted frequency axis (spectral.omega_axis) and up to
+    one constant factor, with no n x n array: 1-D transforms along `axis`
+    of blocks of the JTA, summed over the other axis, along which no
+    transform (unitary up to that factor) and no time-origin phase is taken."""
     a = phi.values
-    ms, mi = np.zeros(a.shape[0]), np.zeros(a.shape[1])
+    m = np.zeros(a.shape[axis])
     for s in row_blocks(a.shape[0]):
-        ms += abs2_sums(np.fft.ifft(a[:, s], axis=0))[0]
-        mi += abs2_sums(np.fft.ifft(a[s], axis=1))[1]
-    return ms, mi
+        m += abs2_sums(np.fft.ifft(a[s] if axis else a[:, s], axis=axis))[axis]
+    return m
 
 
 def mean_shift(phi: JointAmplitude, disp: DispersionSet, t0_fwhm: float):
     """Mean wavelength shift of each photon about its reference wavelength,
-    from the marginals of a JSA: a JSA's own, or, for a JTA, those of its
-    JSA formed without the JSA (see _spectral_marginals); the constant
-    factor of the latter cancels in the means."""
-    g = phi.grid
-    if phi.domain == "frequency":
-        (ms, mi), w = phi.marginals, g.w_axis
-    else:
-        (ms, mi), w = _spectral_marginals(phi), omega_axis(g.n, g.dt)
+    from the marginals of a JTA's JSA, formed without the JSA (see
+    _spectral_marginal); their constant factor cancels in the means."""
+    if phi.domain != "time":
+        raise ValueError("mean_shift expects a time-domain amplitude")
+    ms, mi = _spectral_marginal(phi, 0), _spectral_marginal(phi, 1)
+    w = omega_axis(phi.grid.n, phi.grid.dt)
     tot_s, tot_i = ms.sum(), mi.sum()
     if tot_s == 0.0 or tot_i == 0.0:
         raise ValueError("mean shift undefined for a zero amplitude")
-    mean_ws = float(np.dot(w, ms) / tot_s)
-    mean_wi = float(np.dot(w, mi) / tot_i)
     conv = 1.0 / (2.0 * np.pi * C_LIGHT * t0_fwhm)
-    dlam_s = -disp.lam_s**2 * conv * mean_ws
-    dlam_i = -disp.lam_i**2 * conv * mean_wi
-    return dlam_s, dlam_i
+    return (-disp.lam_s**2 * conv * float(np.dot(w, ms) / tot_s),
+            -disp.lam_i**2 * conv * float(np.dot(w, mi) / tot_i))
 
 
 def arrival_times(phi: JointAmplitude, t0_fwhm: float):
@@ -134,13 +127,13 @@ def spectral_cumulative(snapshots):
     snapshots is a list of JTAs.  Returns (z_nodes, w_axis, map) with map[k] the
     Idler marginal of snapshot k's JSA on the sorted grid.w_axis,
     peak-normalized over the whole map: read from 1-D transforms of blocks
-    of the JTA (see _spectral_marginals), with no JSA, and fftshifted.
+    of the JTA (see _spectral_marginal), with no JSA, and fftshifted.
     """
     if any(phi.domain != "time" for phi in snapshots):
         raise ValueError("spectral_cumulative expects time-domain amplitudes")
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    out = np.asarray([np.fft.fftshift(_spectral_marginals(phi)[1]) for phi in snapshots])
+    out = np.asarray([np.fft.fftshift(_spectral_marginal(phi, 1)) for phi in snapshots])
     peak = out.max()
     if peak > 0:
         out = out / peak

@@ -82,6 +82,19 @@ def test_visibility_bounds(fast_run, rng):
             assert -1e-9 <= v <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("visibility", [rhom_visibility, hhom_visibility])
+def test_visibilities_refuse_a_jsa_and_a_foreign_grid(fast_run, visibility):
+    phi = fast_run.result.jta
+    jsa = JointAmplitude(values=phi.values, domain="frequency", grid=phi.grid, z=phi.z)
+    for pair in ((phi, jsa), (jsa, phi)):
+        with pytest.raises(ValueError, match="time-domain"):
+            visibility(*pair)
+    g = Grid.from_numerics(NumericsSpec(n_t=64, t_window=(-7.0, 9.0)))
+    for pair in ((phi, _amp(phi.values, g)), (_amp(phi.values, g), phi)):
+        with pytest.raises(ValueError, match="different grids"):
+            visibility(*pair)
+
+
 def test_time_shift_zero_identity(fast_run):
     phi = fast_run.result.jta
     out = apply_time_shift(phi, 0.0, 0.0, T0)

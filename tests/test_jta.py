@@ -261,8 +261,7 @@ def test_bookkeeping_checked_on_every_run(monkeypatch):
 
 def _force_threads(monkeypatch, count, block):
     """Share every z-step of this process among `count` threads, in blocks
-    of `block` rows, at any n_t."""
-    monkeypatch.setattr(jta, "_THREADS_MIN_N", 1)
+    of `block` rows, at any n_t above `block`."""
     monkeypatch.setattr(jta, "worker_count", lambda: count)
     monkeypatch.setattr(jta, "_BLOCK", block)
 
@@ -319,12 +318,29 @@ def test_no_thread_outlives_a_run(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_two_real_blocks_change_no_bit(monkeypatch):
+    # n_t = 256 in the default blocks of 128 rows, the smallest grid whose
+    # z-steps are shared, on two threads as outside a pool; an odd n_z
+    # settles the snapshot at node 50 and the last node in either layout
+    assert jta._BLOCK == 128
+    monkeypatch.setattr(jta, "worker_count", lambda: 2)
+    assert jta._thread_count(256) == 2
+    cfg = _cfg(numerics={"n_t": 256, "n_z": 101})
+    trace = propagate_pumps(cfg)
+    ref_jta, ref_xi, ref_snaps = whole_array_stepper(cfg, trace, snapshots=3)
+    res = evolve_jta(cfg, trace, snapshots=3)
+    assert np.array_equal(res.jta.values, ref_jta)
+    assert np.array_equal(res.xi_profile.xi, ref_xi)
+    for snap, ref in zip(res.snapshots, ref_snaps, strict=True):
+        assert np.array_equal(snap.values, ref), snap.z
+
+
 def test_pool_workers_take_one_slab():
     with WorkerPool(2, 2) as workers:
         assert workers.pool is not None
-        assert list(workers.map(jta._thread_count, [512, 512])) == [1, 1]
-    assert jta._thread_count(512) == simulate.worker_count()
-    assert jta._thread_count(256) == 1
+        assert list(workers.map(jta._thread_count, [256, 512])) == [1, 1]
+    assert jta._thread_count(256) == simulate.worker_count()
+    assert jta._thread_count(128) == 1
 
 
 def _bounded(fn, timeout: float):

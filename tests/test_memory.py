@@ -128,11 +128,11 @@ def test_dump_pumps_peak_does_not_grow_with_n_z(cfg, tmp_path):
 
 
 def test_evolve_jta_peak(run, cfg, monkeypatch):
-    # two threads at any n_t, so that both transpose their block pairs at
-    # once; the stepper peaked at 1.58 states here (the state, two 128 x 128
-    # block temporaries, and 0.08 of a state more), where the whole-array
-    # fused stepper peaked at two states plus 0.41 n * n_z complex values
-    monkeypatch.setattr(jta, "_THREADS_MIN_N", 1)
+    # two threads on the grid's two row blocks, so that both transpose
+    # their block pairs at once; the stepper peaked at 1.58 states here
+    # (the state, two 128 x 128 block temporaries, and 0.08 of a state
+    # more), where the whole-array fused stepper peaked at two states plus
+    # 0.41 n * n_z complex values
     monkeypatch.setattr(jta, "worker_count", lambda: 2)
     n, n_z = GRID["n_t"], GRID["n_z"]
     trace = propagate_pumps(cfg)
@@ -165,7 +165,7 @@ def test_scored_rhom_candidate_peak():
 
 def test_spectral_map_builds_no_jsa(cfg):
     # the map of 6 snapshots reads each one's Idler spectrum from 1-D
-    # transforms of blocks of its JTA (see metrics._spectral_marginals):
+    # transforms of blocks of its JTA (see metrics._spectral_marginal):
     # measured 0.16 of one state, where each snapshot's JSA would be a
     # whole state more
     snaps = run_source(cfg, snapshots=6).result.snapshots

@@ -23,8 +23,8 @@ def _grid(n=64):
     return Grid.from_numerics(NumericsSpec(n_t=n, t_window=(-8.0, 8.0)))
 
 
-def _amp(values, grid, domain="time"):
-    return JointAmplitude(values=values, domain=domain, grid=grid, z=0.0)
+def _amp(values, grid):
+    return JointAmplitude(values=values, domain="time", grid=grid, z=0.0)
 
 
 def test_gaussian_product_self_dual():
@@ -104,12 +104,17 @@ def test_purity_domain_invariance(fast_run):
     assert p_t == pytest.approx(p_w, abs=1e-10)
 
 
+def _jta_of(jsa_values, grid):
+    """The JTA of a JSA designed on the sorted grid.w_axis."""
+    return _amp(reference_jta_of_jsa(jsa_values, grid), grid)
+
+
 def test_mean_shift_symmetric_zero():
     g = _grid()
     w = g.w_axis
     vals = np.exp(-np.add.outer(w**2, w**2))
     disp = table1_config().dispersion
-    s, i = mean_shift(_amp(vals, g, domain="frequency"), disp, T0)
+    s, i = mean_shift(_jta_of(vals, g), disp, T0)
     assert s == pytest.approx(0.0, abs=1e-18)
     assert i == pytest.approx(0.0, abs=1e-18)
 
@@ -121,17 +126,17 @@ def test_mean_shift_sign_and_scale():
     w0 = 8 * g.dw
     vals = np.exp(-np.add.outer((w - w0) ** 2, w**2) / 0.5)
     disp = table1_config().dispersion
-    s, _ = mean_shift(_amp(vals, g, domain="frequency"), disp, T0)
+    s, _ = mean_shift(_jta_of(vals, g), disp, T0)
     c = 299792458.0
     expect = -disp.lam_s**2 / (2 * np.pi * c) * w0 / T0
     assert s == pytest.approx(expect, rel=1e-6)
 
 
 def test_mean_shift_global_phase_invariance(fast_run):
-    phi = jta_to_jsa(fast_run.result.jta)
+    phi = fast_run.result.jta
     disp = table1_config().dispersion
     base = mean_shift(phi, disp, T0)
-    rot = JointAmplitude(values=phi.values * np.exp(1.2j), domain="frequency",
+    rot = JointAmplitude(values=phi.values * np.exp(1.2j), domain="time",
                          grid=phi.grid, z=phi.z)
     other = mean_shift(rot, disp, T0)
     assert base == pytest.approx(other, rel=1e-12)
@@ -199,21 +204,20 @@ def test_arrival_stds_pulse_scale(fast_run):
 def test_ec_deviation_low_power():
     cfg = table1_config(numerics={"n_t": 128, "n_z": 400}, pump={"avg_power": 1e-4})
     out = run_source(cfg)
-    jsa = jta_to_jsa(out.result.jta)
-    dev = _ec_deviation(*mean_shift(jsa, cfg.dispersion, T0), cfg.dispersion)
+    dev = _ec_deviation(*mean_shift(out.result.jta, cfg.dispersion, T0), cfg.dispersion)
     assert abs(dev) < 0.5e-9
 
 
 def test_frequency_sum_near_zero_low_power():
     cfg = table1_config(numerics={"n_t": 128, "n_z": 400}, pump={"avg_power": 1e-5})
     out = run_source(cfg)
-    jsa = jta_to_jsa(out.result.jta)
+    phi = out.result.jta
     disp = cfg.dispersion
-    s, i = mean_shift(jsa, disp, T0)
+    s, i = mean_shift(phi, disp, T0)
     c = 299792458.0
     ws = -s * 2 * np.pi * c / disp.lam_s**2 * T0
     wi = -i * 2 * np.pi * c / disp.lam_i**2 * T0
-    assert abs(ws + wi) <= jsa.grid.dw
+    assert abs(ws + wi) <= phi.grid.dw
 
 
 def test_spectral_cumulative_growth():
@@ -260,13 +264,38 @@ def test_spectral_map_is_that_of_the_jsas(fast_run):
 
 def test_mean_shift_of_a_jta_is_that_of_its_jsa(fast_run):
     # the JTA's shifts come from 1-D transforms of its blocks, with no JSA,
-    # and leave the JTA as it was
+    # and leave the JTA as it was; by hand, they are the mean frequencies
+    # of the whole JSA's marginals on the sorted axis, in wavelength
     phi = fast_run.result.jta
     before = phi.values.copy()
     disp = table1_config().dispersion
     got = mean_shift(phi, disp, T0)
-    assert got == pytest.approx(mean_shift(jta_to_jsa(phi), disp, T0), rel=1e-12)
+    w, (ms, mi) = phi.grid.w_axis, jta_to_jsa(phi).marginals
+    conv = 1.0 / (2 * np.pi * 299792458.0 * T0)
+    expect = (-disp.lam_s**2 * conv * np.dot(w, ms) / ms.sum(),
+              -disp.lam_i**2 * conv * np.dot(w, mi) / mi.sum())
+    assert got == pytest.approx(expect, rel=1e-12)
     assert np.array_equal(phi.values, before)
+
+
+def test_mean_shift_refuses_a_jsa(fast_run):
+    with pytest.raises(ValueError, match="time-domain"):
+        mean_shift(jta_to_jsa(fast_run.result.jta), table1_config().dispersion, T0)
+
+
+def test_jsa_in_the_jtas_buffer_drops_its_marginals():
+    # the marginals kept from the JTA would be stale once its buffer holds
+    # the JSA: they are dropped, and formed afresh from the JSA on access
+    g = _grid()
+    rng = np.random.default_rng(3)
+    phi = _amp(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)), g)
+    kept = phi.marginals
+    jsa = jta_to_jsa(phi, out=phi.values)
+    assert jsa.values is phi.values
+    assert "marginals" not in phi.__dict__
+    for got, ref, old in zip(phi.marginals, jsa.marginals, kept):
+        assert np.array_equal(got, ref)
+        assert not np.allclose(got, old)
 
 
 def test_schmidt_number_inverse(fast_run):

@@ -26,8 +26,8 @@ def _matrices():
     return st.integers(min_value=0, max_value=2**32 - 1).map(_from_seed)
 
 
-def _amp(values, domain="time"):
-    return JointAmplitude(values=values, domain=domain, grid=GRID, z=0.0)
+def _amp(values):
+    return JointAmplitude(values=values, domain="time", grid=GRID, z=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,8 +91,8 @@ def test_mean_shift_global_phase_invariance(values, theta):
     from taperfwm.config import table1_config
 
     disp = table1_config().dispersion
-    phi = _amp(values, domain="frequency")
-    rot = _amp(values * np.exp(1j * theta), domain="frequency")
+    phi = _amp(reference_jta_of_jsa(values, GRID))
+    rot = _amp(reference_jta_of_jsa(values * np.exp(1j * theta), GRID))
     assert mean_shift(rot, disp, T0) == pytest.approx(mean_shift(phi, disp, T0), rel=1e-9)
 
 
