@@ -46,9 +46,9 @@ def _with_param(cfg: SourceConfig, param: str, value: float) -> SourceConfig:
     return cfg.replace(**{section: {key: value}})
 
 
-def _dump(writer: io.ArtifactWriter, name: str, phi: JointAmplitude):
-    """<name>.cjm1 and its sidecar."""
-    writer.add(io.write_cjm1(phi, writer.path(f"{name}.cjm1")))
+def _dump(writer: io.ArtifactWriter, name: str, phi: JointAmplitude, jsa=None):
+    """<name>.cjm1 and its sidecar: phi's JTA, or its JSA jsa if given."""
+    writer.add(io.write_cjm1(phi, writer.path(f"{name}.cjm1"), jsa))
 
 
 def _dump_pumps(writer: io.ArtifactWriter, trace):
@@ -78,13 +78,14 @@ def _simulate(writer: io.ArtifactWriter, cfg: SourceConfig, args):
         writer.add(io.write_spectral_map_csv(zs, w_axis, spec, cfg.geometry.length,
                                              writer.path("spectral_map.csv")))
     if args.dump_jsa:
-        # the metrics, the dumps and the map above were the final JTA's last
-        # readers: its buffer takes the final JSA, which is also the last
-        # snapshot's; each other snapshot's JSA is released after its dump
+        # the metrics, the dumps and the map above were the JTAs' last
+        # readers: each JSA takes its own JTA's buffer, the final one, which
+        # is also the last snapshot's, first
         jsa = jta_to_jsa(final, out=final.values)
-        _dump(writer, "final_jsa", jsa)
+        _dump(writer, "final_jsa", final, jsa)
         for k, snap in enumerate(snapshots):
-            _dump(writer, f"snapshot_{k:03d}_jsa", jsa if snap is final else jta_to_jsa(snap))
+            _dump(writer, f"snapshot_{k:03d}_jsa", snap,
+                  jsa if snap is final else jta_to_jsa(snap, out=snap.values))
 
 
 def cmd_simulate(args) -> int:

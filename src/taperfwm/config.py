@@ -123,14 +123,13 @@ class NumericsSpec:
 class Grid:
     """Dimensionless time axis and its dual frequency axis.
 
-    The frequency axis is the sorted (fftshifted) dual grid; it satisfies
-    dw * dt * n == 2 pi.
+    The frequency axis is the sorted (fftshifted) dual grid, of spacing
+    2 pi / (n dt).
     """
 
     t_axis: np.ndarray
     w_axis: np.ndarray
     dt: float
-    dw: float
 
     @property
     def n(self):
@@ -142,7 +141,7 @@ class Grid:
         dt = (t_max - t_min) / num.n_t
         t_axis = t_min + dt * np.arange(num.n_t)
         w_axis = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(num.n_t, d=dt))
-        return cls(t_axis=t_axis, w_axis=w_axis, dt=dt, dw=w_axis[1] - w_axis[0])
+        return cls(t_axis=t_axis, w_axis=w_axis, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -232,14 +231,15 @@ def validate_config(cfg: SourceConfig) -> list:
     errors, warns = [], []
     p, g, d, num = cfg.pump, cfg.geometry, cfg.dispersion, cfg.numerics
 
-    if p.avg_power < 0:
-        errors.append("pump.avg_power must be >= 0")
+    # the source is the product of both pumps: a zero one generates no pair
+    if p.avg_power <= 0:
+        errors.append("pump.avg_power must be > 0")
     if p.rep_rate <= 0:
         errors.append("pump.rep_rate must be > 0")
     if p.t0_fwhm <= 0:
         errors.append("pump.t0_fwhm must be > 0")
-    if not 0.0 <= p.split_fraction <= 1.0:
-        errors.append("pump.split_fraction must lie in [0, 1]")
+    if not 0.0 < p.split_fraction < 1.0:
+        errors.append("pump.split_fraction must lie in (0, 1)")
     if g.length <= 0:
         errors.append("geometry.length must be > 0")
     if g.taper_amplitude < 0:
@@ -262,6 +262,10 @@ def validate_config(cfg: SourceConfig) -> list:
         errors.append("expected lam_i < pump wavelength < lam_s")
     if d.l_w_p <= 0:
         errors.append("dispersion.l_w_p must be > 0")
+    # each length divides: a walk-off rate, or a dispersion rate when on
+    lengths = ["l_w_s", "l_w_i"] + (["l_d_p1", "l_d_p2", "l_d_s", "l_d_i"]
+                                    if num.dispersion_enabled else [])
+    errors += [f"dispersion.{name} must be nonzero" for name in lengths if getattr(d, name) == 0]
 
     if num.n_t < 64:
         errors.append("numerics.n_t must be >= 64")

@@ -30,12 +30,10 @@ class PairStudy:
 
 def _norms(phi1: JointAmplitude, phi2: JointAmplitude) -> float:
     """|phi1|^2 |phi2|^2, by which both visibilities normalise, of two JTAs
-    on one grid: a JSA, a foreign grid and a zero amplitude are refused."""
+    on one grid: a foreign grid and a zero amplitude are refused."""
     g1, g2 = phi1.grid, phi2.grid
     if g1.n != g2.n or abs(g1.dt - g2.dt) > 1e-15 or abs(g1.t_axis[0] - g2.t_axis[0]) > 1e-12:
         raise ValueError("joint amplitudes live on different grids")
-    if phi1.domain != "time" or phi2.domain != "time":
-        raise ValueError("visibilities expect time-domain amplitudes")
     norms = sum_abs2(phi1.values) * sum_abs2(phi2.values)
     if norms == 0.0:
         raise ValueError("visibility undefined for a zero amplitude")
@@ -77,14 +75,11 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     Shifts that would push more than a wrap_tol norm fraction across the
     periodic window boundary are rejected.
     """
-    if phi.domain != "time":
-        raise ValueError("apply_time_shift expects a time-domain amplitude")
     g = phi.grid
     a_s = shift_s / t0_fwhm
     a_i = shift_i / t0_fwhm
     if a_s == 0.0 and a_i == 0.0:
-        return JointAmplitude(values=phi.values.copy(), domain="time", grid=g,
-                              z=phi.z, norm_sq=phi.norm_sq)
+        return JointAmplitude(values=phi.values.copy(), grid=g, z=phi.z, norm_sq=phi.norm_sq)
     marg_s, marg_i = phi.marginals
     _check_wrap(marg_s, a_s, g.dt, wrap_tol)
     _check_wrap(marg_i, a_i, g.dt, wrap_tol)
@@ -96,7 +91,7 @@ def apply_time_shift(phi: JointAmplitude, shift_s: float, shift_i: float, t0_fwh
     for s in row_blocks(g.n):
         vals[s] *= ramp_s[s, None] * ramp_i
     np.fft.fftn(vals, axes=(0, 1), out=vals)
-    return JointAmplitude(values=vals, domain="time", grid=g, z=phi.z, norm_sq=phi.norm_sq)
+    return JointAmplitude(values=vals, grid=g, z=phi.z, norm_sq=phi.norm_sq)
 
 
 def _check_wrap(marg, a, dt, wrap_tol):

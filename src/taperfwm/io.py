@@ -54,17 +54,27 @@ def write_csv(path, header: list, rows) -> Path:
     return path
 
 
-def write_cjm1(phi: JointAmplitude, path) -> Path:
-    """Binary matrix dump: 16-byte header then row-major interleaved
-    little-endian float64 (Re, Im).  A JSON sidecar carries the grid."""
-    path = Path(path)
-    n_rows, n_cols = phi.values.shape
+def write_cjm1(phi: JointAmplitude, path, jsa: np.ndarray | None = None) -> Path:
+    """Binary matrix dump of phi's JTA, or of jsa, its JSA, if given:
+    16-byte header then row-major interleaved little-endian float64 (Re,
+    Im).  A JSON sidecar carries the grid, on the matrix's own axis."""
+    path, g = Path(path), phi.grid
+    values, domain, axis = ((phi.values, "time", g.t_axis) if jsa is None
+                            else (jsa, "frequency", g.w_axis))
+    n_rows, n_cols = values.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, n_rows, n_cols, 0))
         # little-endian complex128 is that layout: the matrix's own buffer
         # is written, with no copy
-        fh.write(np.ascontiguousarray(phi.values, "<c16").data)
-    _write_sidecar(phi, path.with_suffix(path.suffix + ".json"))
+        fh.write(np.ascontiguousarray(values, "<c16").data)
+    _write_json({
+        "domain": domain,
+        "z": phi.z,
+        "norm_sq": phi.norm_sq,
+        "n": g.n,
+        "dt": g.dt,
+        "axis": [float(v) for v in axis],
+    }, path.with_suffix(path.suffix + ".json"))
     return path
 
 
@@ -81,19 +91,6 @@ def read_cjm1(path) -> np.ndarray:
         raise FormatError(f"{path}: size {len(raw)} != expected {expect}")
     values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     return values.reshape(n_rows, n_cols).astype(complex)
-
-
-def _write_sidecar(phi: JointAmplitude, path: Path):
-    g = phi.grid
-    axis = g.t_axis if phi.domain == "time" else g.w_axis
-    _write_json({
-        "domain": phi.domain,
-        "z": phi.z,
-        "norm_sq": phi.norm_sq,
-        "n": g.n,
-        "dt": g.dt,
-        "axis": [float(v) for v in axis],
-    }, path)
 
 
 def write_metrics_json(metrics: MetricsReport, path) -> Path:

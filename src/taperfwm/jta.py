@@ -54,55 +54,48 @@ def abs2_sums(a: np.ndarray):
 
 @dataclass
 class JointAmplitude:
-    """Complex two-photon amplitude over (T_s, T_i) or (w'_s, w'_i).
+    """Complex joint temporal amplitude (JTA) over (T_s, T_i).
 
     Axis 0 is the Signal, axis 1 the Idler.  norm_sq is the physical pair
-    probability integral of |values|^2 on the stored grid.
+    probability integral of |values|^2 on the time grid.
     """
 
     values: np.ndarray
-    domain: str            # "time" | "frequency"
     grid: Grid
     z: float
     norm_sq: float = field(default=None)
 
     def __post_init__(self):
-        if self.domain not in ("time", "frequency"):
-            raise ValueError(f"bad domain {self.domain!r}")
         if self.norm_sq is None:
             self.norm_sq = self.integrate_norm()
 
-    def cell_measure(self) -> float:
-        d = self.grid.dt if self.domain == "time" else self.grid.dw
-        return d * d
-
     def integrate_norm(self) -> float:
-        return sum_abs2(self.values) * self.cell_measure()
+        return sum_abs2(self.values) * (self.grid.dt * self.grid.dt)
 
     @cached_property
     def marginals(self):
         """The Signal and Idler intensity marginals, sum |phi|^2 over the
-        other axis, in the amplitude's own domain: formed on first access
-        and kept, by blocks of rows (see abs2_sums).  evolve_jta wraps its
-        state only after the last step; the one write to values after that,
-        jta_to_jsa(phi, out=phi.values), drops the kept marginals."""
+        other axis: formed on first access and kept, by blocks of rows (see
+        abs2_sums).  evolve_jta wraps its state only after the last step;
+        the one write to values after that, jta_to_jsa(phi, out=phi.values),
+        drops the kept marginals."""
         return abs2_sums(self.values)
 
 
-def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> JointAmplitude:
-    """Unitary two-dimensional transform to the dual frequency grid.
+def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> np.ndarray:
+    """The joint spectral amplitude (JSA) of a JTA: the unitary
+    two-dimensional transform to the dual frequency grid, as an n x n array.
 
     The result is aligned with the sorted grid.w_axis on both axes and
-    preserves the physical norm exactly.  Each axis takes two factors: the
-    sign (-1)^k on the time samples, which for even n turns the ifft of a
-    row into its fftshifted ifft, and the phase and scale of the grid's
-    time origin at each sorted frequency.  The transform fills out, a
-    complex n x n buffer, or a new one, and works on it in place.  out may
-    be phi.values itself, which then holds the JSA: only the owner of phi
-    may pass it, after the JTA's last reader; phi's kept marginals go.
+    preserves the physical norm exactly, with the frequency cell
+    w_axis[1] - w_axis[0].  Each axis takes two factors: the sign (-1)^k on
+    the time samples, which for even n turns the ifft of a row into its
+    fftshifted ifft, and the phase and scale of the grid's time origin at
+    each sorted frequency.  The transform fills out, a complex n x n buffer,
+    or a new one, and works on it in place.  out may be phi.values itself,
+    which then holds the JSA: only the owner of phi may pass it, after the
+    JTA's last reader; phi's kept marginals go.
     """
-    if phi.domain != "time":
-        raise ValueError("jta_to_jsa expects a time-domain amplitude")
     g = phi.grid
     if g.n % 2:
         raise ValueError(f"the sorted-axis transform needs an even n, got {g.n}")
@@ -115,8 +108,7 @@ def jta_to_jsa(phi: JointAmplitude, out: np.ndarray | None = None) -> JointAmpli
     np.fft.ifftn(spec, axes=(0, 1), out=spec)
     spec *= factor[:, None]
     spec *= factor[None, :]
-    return JointAmplitude(values=spec, domain="frequency", grid=phi.grid, z=phi.z,
-                          norm_sq=phi.norm_sq)
+    return spec
 
 
 @dataclass
@@ -256,7 +248,7 @@ def evolve_jta(
     snaps = []
 
     def physical(k, values_time):
-        return JointAmplitude(values=values_time, domain="time", grid=grid, z=float(pump_trace.z_nodes[k]))
+        return JointAmplitude(values=values_time, grid=grid, z=float(pump_trace.z_nodes[k]))
 
     blocks = [slice(j, j + _BLOCK) for j in range(0, n, _BLOCK)]
     pairs = [(r, c) for j, r in enumerate(blocks) for c in blocks[j:]]

@@ -2,8 +2,8 @@
 pump midpoints stored as one array, the JTA stepper on whole-array
 axis passes, the first-order perturbative oracle, the source term by direct
 spectral convolution, the JTA<->JSA transform pair by the textbook route,
-the closed-form moving pumps and collision-point arrival times, and the
-delay-line sizing.
+the pair probability of a JSA, the closed-form moving pumps and
+collision-point arrival times, and the delay-line sizing.
 
 The two per-field steppers split the net mismatch phase among the four
 fields with weights (p1, p2, s, i), p1 + p2 - s - i = 1: each pump collects
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taperfwm.config import C_LIGHT, derive_run_params
-from taperfwm.jta import JointAmplitude, snapshot_nodes, step_drives
+from taperfwm.jta import JointAmplitude, snapshot_nodes, step_drives, sum_abs2
 from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import initial_envelopes, midpoints, propagate_pumps
 from taperfwm.spectral import linear_exponents, omega_axis
@@ -133,6 +133,13 @@ def reference_jta_of_jsa(values, grid):
     return np.fft.fft2(np.fft.ifftshift(values) / factor[:, None] / factor[None, :])
 
 
+def jsa_norm(values, grid):
+    """The pair probability of JSA values on the sorted grid.w_axis: the sum
+    of |values|^2 times the frequency cell squared."""
+    dw = grid.w_axis[1] - grid.w_axis[0]
+    return sum_abs2(values) * (dw * dw)
+
+
 def analytic_pumps(cfg, z, t):
     """Closed-form moving gaussians in lab coordinates (z in m, t in s),
     ignoring loss, dispersion and nonlinearity."""
@@ -182,7 +189,7 @@ def perturbative_oracle(cfg, pump_trace):
         g = np.fft.ifft(diag) / n
         acc += h * np.exp(ls * rest[k])[:, None] * np.exp(li * rest[k])[None, :] * g[ridge_idx]
 
-    return JointAmplitude(values=np.fft.fft2(acc), domain="time", grid=grid, z=L)
+    return JointAmplitude(values=np.fft.fft2(acc), grid=grid, z=L)
 
 
 def global_phase(cfg, weights):

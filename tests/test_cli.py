@@ -211,16 +211,26 @@ def test_sweep_error_rows_do_not_abort(cfg_path, tmp_path):
     assert rows[-1]["error"]
 
 
-def test_sweep_metrics_failure_is_a_row(cfg_path, tmp_path):
-    # zero pump power generates no pair, so the metrics refuse the point;
-    # the sweep goes on
+def test_sweep_metrics_failure_is_a_row(cfg_path, tmp_path, monkeypatch):
+    # the metrics refuse the first point with a ValueError, after its run;
+    # the sweep goes on (one worker, so that the points run in this process)
+    from taperfwm import simulate
+
+    real_compute_metrics = simulate.compute_metrics
+
+    def compute_metrics(result, cfg):
+        if cfg.pump.avg_power == 0.5e-3:
+            raise ValueError("metrics refused at 0.5 mW")
+        return real_compute_metrics(result, cfg)
+
+    monkeypatch.setattr(simulate, "compute_metrics", compute_metrics)
     out = tmp_path / "sweep"
     rc = main(["sweep", "-c", str(cfg_path), "-o", str(out), "--param", "avg_power",
-               "--from", "0", "--to", "1e-3", "--steps", "3", "--jobs", "1"])
+               "--from", "0.5e-3", "--to", "1e-3", "--steps", "3", "--jobs", "1"])
     assert rc == 3
     rows = _read_csv(out / "sweep.csv")
     assert [r["status"] for r in rows] == ["error", "ok", "ok"]
-    assert rows[0]["error"] == "purity undefined for a zero amplitude"
+    assert rows[0]["error"] == "metrics refused at 0.5 mW"
 
 
 def test_pair_identical_sources(cfg_path, tmp_path):
@@ -245,6 +255,22 @@ def test_pair_optimize(cfg_path, tmp_path):
     cands = _read_csv(out / "candidates.csv")
     assert len(cands) > 10
     assert _crlf_lines(out / "candidates.csv")[0] == "tau1,tau2,v"
+
+
+def test_pair_optimize_hhom(cfg_path, tmp_path):
+    # the heralded objective: the reported V_HHOM is the best candidate's
+    # own float, read back from both files
+    cfg2 = table1_config(numerics=FAST, geometry={"width_offset": 60e-9})
+    p2 = tmp_path / "cfg2.json"
+    p2.write_text(json.dumps(config_to_dict(cfg2)))
+    out = tmp_path / "pair"
+    assert main(["pair", "-c1", str(cfg_path), "-c2", str(p2), "-o", str(out),
+                 "--optimize", "--objective", "hhom"]) == 0
+    opt = json.loads((out / "pair.json").read_text())["optimized"]
+    assert opt["objective"] == "hhom"
+    best = max(_read_csv(out / "candidates.csv"), key=lambda r: float(r["v"]))
+    assert opt["v_hhom"] == float(best["v"]) > 0.0
+    assert (opt["tau1"], opt["tau2"]) == (float(best["tau1"]), float(best["tau2"]))
 
 
 def test_pair_of_one_config_simulates_each_delay_once(cfg_path, tmp_path, monkeypatch):
@@ -374,6 +400,21 @@ def _fast_doc(pump=None, **numerics):
     return config_to_dict(table1_config(numerics={**FAST, **numerics}, pump=pump or {}))
 
 
+# physical inputs that no run can take, as (section, key, value): a walk-off
+# or dispersion length that divides, or a pump product that generates no pair
+DEGENERATE = {
+    **{f"{key}-zero": ("dispersion", key, 0.0)
+       for key in ("l_w_s", "l_w_i", "l_d_p1", "l_d_p2", "l_d_s", "l_d_i")},
+    "avg_power-zero": ("pump", "avg_power", 0.0),
+    "split_fraction-zero": ("pump", "split_fraction", 0.0),
+    "split_fraction-one": ("pump", "split_fraction", 1.0),
+}
+
+
+def _degenerate_doc(section, key, value):
+    return {"defaults": "table1", "numerics": FAST, section: {key: value}}
+
+
 # a config that is not an object of sections, a config value of the wrong
 # kind, and a command-line value that no run can take: each is refused with
 # exit 2 before any output or simulation
@@ -408,6 +449,7 @@ BAD_INPUTS = {
                                                   "pump": {"rep_rate": 5e-324}}, []),
     "sweep-from-nan": ("sweep", _fast_doc(), ["--steps", "2", "--from", "nan"]),
     "sweep-to-inf": ("sweep", _fast_doc(), ["--steps", "2", "--to", "inf"]),
+    **{case: ("simulate", _degenerate_doc(*field), []) for case, field in DEGENERATE.items()},
 }
 
 
@@ -429,6 +471,15 @@ def test_bad_input_exits_2_before_any_run(tmp_path, capsys, command, doc, extra)
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", DEGENERATE.values(), ids=DEGENERATE.keys())
+def test_degenerate_input_is_one_error_naming_its_field(tmp_path, capsys, section, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_degenerate_doc(section, key, value)))
+    assert main(["simulate", "-c", str(p), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{section}.{key}" in err[0], err
 
 
 @pytest.mark.parametrize("pump", [{"avg_power": 1e308}, {"rep_rate": 5e-324}])

@@ -64,7 +64,7 @@ def test_loss_conversion_round_trip():
 
 def test_grid_duality():
     g = Grid.from_numerics(table1_config().numerics)
-    assert g.dw * g.dt * g.n == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert (g.w_axis[1] - g.w_axis[0]) * g.dt * g.n == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert np.all(np.diff(g.t_axis) > 0)
     assert np.all(np.diff(g.w_axis) > 0)
 
@@ -81,6 +81,20 @@ def test_nonpositive_width_fatal():
     cfg = table1_config(geometry={"taper_amplitude": 2e-6, "width_offset": -1e-6})
     with pytest.raises(ConfigError, match="width"):
         validate_config(cfg)
+
+
+def test_dispersion_lengths_divide_only_when_dispersion_is_on():
+    # a zero dispersion length is refused with dispersion on, and never read
+    # with it off; a zero walk-off length is refused either way
+    for on in (True, False):
+        cfg = table1_config(numerics={"dispersion_enabled": on}, dispersion={"l_d_s": 0.0})
+        if on:
+            with pytest.raises(ConfigError, match="dispersion.l_d_s must be nonzero"):
+                validate_config(cfg)
+        else:
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match="dispersion.l_w_i must be nonzero"):
+            validate_config(cfg.replace(dispersion={"l_w_i": 0.0}))
 
 
 def test_tau_out_of_range_fatal():

@@ -37,11 +37,14 @@ def test_cjm1_sidecar(phi, tmp_path):
 
 
 def test_cjm1_frequency_domain(phi, tmp_path):
+    # phi's JSA, written on the frequency axis with phi's pair probability
     jsa = jta_to_jsa(phi)
-    io.write_cjm1(jsa, tmp_path / "m.cjm1")
+    p = io.write_cjm1(phi, tmp_path / "m.cjm1", jsa)
+    assert np.array_equal(io.read_cjm1(p), jsa)
     doc = json.loads((tmp_path / "m.cjm1.json").read_text())
     assert doc["domain"] == "frequency"
-    assert doc["axis"][0] == pytest.approx(jsa.grid.w_axis[0])
+    assert doc["norm_sq"] == phi.norm_sq
+    assert doc["axis"] == phi.grid.w_axis.tolist()
 
 
 def test_cjm1_bad_magic(tmp_path):

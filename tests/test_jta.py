@@ -16,8 +16,8 @@ from taperfwm.mismatch import mismatch_phase
 from taperfwm.pumps import PropagationError, initial_envelopes, propagate_pumps
 from taperfwm.simulate import WorkerPool
 
-from _reference import (global_phase, perturbative_oracle, reference_jta, spectral_source,
-                        stored_midpoints, whole_array_stepper)
+from _reference import (global_phase, jsa_norm, perturbative_oracle, reference_jta,
+                        spectral_source, stored_midpoints, whole_array_stepper)
 
 FAST = {"n_t": 64, "n_z": 100}
 
@@ -151,8 +151,7 @@ def test_snapshots_cover_run(fast_run):
 
 def test_parseval_on_conversion(fast_run):
     phi = fast_run.result.jta
-    jsa = jta_to_jsa(phi)
-    assert jsa.integrate_norm() == pytest.approx(phi.integrate_norm(), rel=1e-10)
+    assert jsa_norm(jta_to_jsa(phi), phi.grid) == pytest.approx(phi.integrate_norm(), rel=1e-10)
 
 
 def test_nz_convergence():

@@ -1,10 +1,12 @@
 """Memory of one source run, measured with tracemalloc, which sees numpy's
 buffers: the CJM1 dump, the metrics, the pump trace, the JTA stepper, the
-spectral map and a scored optimizer candidate hold no full-size copy they
-do not need, and no run, its pump dump included, stores the pump
-midpoints.  A simulate also loads no module it does not run, which
-tracemalloc cannot see, so that is checked in a fresh interpreter."""
+spectral map, the JSA dumps and a scored optimizer candidate hold no
+full-size copy they do not need, and no run, its pump dump included,
+stores the pump midpoints.  A simulate also loads no module it does not
+run, which tracemalloc cannot see, so that is checked in a fresh
+interpreter."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -143,24 +145,41 @@ def test_evolve_jta_peak(run, cfg, monkeypatch):
     assert np.array_equal(result.jta.values, run.result.jta.values)
 
 
-def test_scored_rhom_candidate_peak():
-    # one candidate of the optimizer at n_t = 128, the pair benchmark's
-    # grid: source 2 shifted in one buffer, and the overlap <b|a> summed by
-    # blocks of rows, with no buffer of its own; measured 1.40 states,
-    # where an overlap buffer of the state's size read 2.13 and the
-    # whole-array ramp, unit copies and product 4.01
+def _scored_candidate_peak(kind):
+    """One candidate of the optimizer at n_t = 128, the pair benchmark's
+    grid, scored by the visibility `kind`: its value, the value by whole
+    BLAS/numpy products, and its peak in states."""
     cfg = table1_config(numerics={"n_t": 128, "n_z": 100}, geometry={"taper_amplitude": 0.1e-6})
     phi1 = run_source(cfg).result.jta
     phi2 = run_source(cfg.replace(pump={"tau": 1.3e-12}, geometry={"width_offset": 60e-9})).result.jta
     for phi in (phi1, phi2):
         phi.marginals  # formed once per stored run, before its candidates
     (vis, _, _), peak, _ = _traced(lambda: interference._pair_visibilities(
-        phi1, phi2, cfg.pump.t0_fwhm, kinds=("rhom",)))
-    assert peak <= 1.5 * phi1.values.nbytes
-    shifted = interference.align_arrival_times(phi1, phi2, cfg.pump.t0_fwhm)[0].values
-    ref = abs(np.vdot(shifted, phi1.values)) ** 2 / (
-        np.vdot(shifted, shifted).real * np.vdot(phi1.values, phi1.values).real)
-    assert vis["rhom"] == pytest.approx(ref, rel=1e-12)
+        phi1, phi2, cfg.pump.t0_fwhm, kinds=(kind,)))
+    a = phi1.values
+    b = interference.align_arrival_times(phi1, phi2, cfg.pump.t0_fwhm)[0].values
+    overlap = np.vdot(b, a) if kind == "rhom" else np.linalg.norm(a.conj().T @ b)
+    ref = abs(overlap) ** 2 / (np.vdot(b, b).real * np.vdot(a, a).real)
+    return vis[kind], ref, peak / a.nbytes
+
+
+def test_scored_rhom_candidate_peak():
+    # source 2 shifted in one buffer, and the overlap <b|a> summed by
+    # blocks of rows, with no buffer of its own; measured 1.40 states,
+    # where an overlap buffer of the state's size read 2.13 and the
+    # whole-array ramp, unit copies and product 4.01
+    v, ref, states = _scored_candidate_peak("rhom")
+    assert states <= 1.5
+    assert v == pytest.approx(ref, rel=1e-12)
+
+
+def test_scored_hhom_candidate_peak():
+    # source 2 shifted in one buffer, and |a^H b|_F^2 summed over tiles of
+    # blocks of columns (see metrics.gram_sq); measured 1.40 states, where
+    # the whole product a^H b and its copies read 5.01
+    v, ref, states = _scored_candidate_peak("hhom")
+    assert states <= 1.5
+    assert v == pytest.approx(ref, rel=1e-12)
 
 
 def test_spectral_map_builds_no_jsa(cfg):
@@ -182,8 +201,28 @@ def test_simulate_dumps_the_final_jta_and_its_jsa(run, tmp_path):
     assert main(["simulate", "-c", str(path), "-o", str(out), "--dump-jta", "--dump-jsa"]) == 0
     phi = io.read_cjm1(out / "final_jta.cjm1")
     assert np.array_equal(phi, run.result.jta.values)
-    expect = jta.jta_to_jsa(run.result.jta).values
+    expect = jta.jta_to_jsa(run.result.jta)
     assert np.array_equal(io.read_cjm1(out / "final_jsa.cjm1"), expect)
+
+
+def test_snapshot_jsas_take_their_jtas_buffers(cfg, tmp_path, monkeypatch):
+    # with the run done, its artifacts under --dump-jsa --snapshots 4 (the
+    # metrics, the spectral map and five JSA dumps) build each JSA in its
+    # own JTA's buffer, after that JTA's last reader: measured 0.18 of one
+    # state, the map's and the metrics' blocks, where a new buffer for each
+    # snapshot's JSA read 1.16
+    from taperfwm import cli
+
+    out = run_source(cfg, snapshots=4)
+    monkeypatch.setattr(cli, "run_source", lambda c, snapshots: out)
+    args = argparse.Namespace(snapshots=4, dump_pumps=False, dump_jta=False, dump_jsa=True)
+    writer = io.ArtifactWriter("simulate", tmp_path / "out", [cfg])
+    state = out.result.jta.values.nbytes
+    _, peak, _ = _traced(lambda: cli._simulate(writer, cfg, args))
+    assert peak <= state / 4
+    for k, snap in enumerate(run_source(cfg, snapshots=4).result.snapshots):
+        dumped = io.read_cjm1(writer.path(f"snapshot_{k:03d}_jsa.cjm1"))
+        assert np.array_equal(dumped, jta.jta_to_jsa(snap))
 
 
 # the process pool, with multiprocessing (1.4 MB resident), and OpenSSL's
